@@ -29,30 +29,16 @@ test:
 	$(GO) test ./...
 
 ## race: race-check the concurrent subsystems (Replay API layer,
-## streaming engine, parallel simulator, daemon job manager, job
+## streaming engine, reference simulator, daemon job manager, job
 ## journal, load generator, incremental swarm)
 race:
 	$(GO) test -race . ./internal/engine/... ./internal/sim/... ./cmd/consumelocald/... \
 		./internal/joblog/... ./internal/loadgen/... ./internal/swarm/...
 
-## bench: the reproduction's benchmark report at reduced scale, then
-## the replay perf-trajectory harness (writes BENCH_replay.json with
-## sessions/s, B/op and allocs/op per engine × worker count — see
-## docs/PERF.md)
-## The trajectory only means something if every PR commits its numbers,
-## so the target fails loudly when the regenerated report is left
-## uncommitted.
+## bench: the reproduction's benchmark report at reduced scale (the
+## gated end-to-end benchmark is perfbench/, see BENCHMARK.json)
 bench:
 	$(GO) test -bench=. -benchtime=1x .
-	$(GO) run ./cmd/consumelocal bench -workers 1,2,4,8 -o BENCH_replay.json
-	@if git rev-parse --is-inside-work-tree >/dev/null 2>&1 && \
-		! git diff --quiet -- BENCH_replay.json; then \
-		echo ""; \
-		echo "bench: BENCH_replay.json differs from the committed copy."; \
-		echo "bench: commit the regenerated report so the perf trajectory"; \
-		echo "bench: tracks this PR — a stale JSON defeats the harness."; \
-		exit 1; \
-	fi
 
 ## loadtest: the full-scale daemon hammer — spawns its own consumelocald
 ## and drives 256 concurrent clients for 30s, writing BENCH_daemon.json

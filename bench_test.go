@@ -348,24 +348,6 @@ func benchmarkPolicy(b *testing.B, policy matching.Policy) {
 	}
 }
 
-func BenchmarkSimulatorParallel(b *testing.B) {
-	cfg := trace.DefaultGeneratorConfig(0.004)
-	cfg.Days = 14
-	tr, err := trace.Generate(cfg)
-	if err != nil {
-		b.Fatal(err)
-	}
-	simCfg := sim.DefaultConfig(1)
-	simCfg.TrackUsers = false
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := sim.RunParallel(tr, simCfg, 4); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(float64(len(tr.Sessions))/1000, "ksessions")
-}
-
 // BenchmarkStream measures the streaming replay engine end to end —
 // CSV parsing included — on the same 14-day workload as
 // BenchmarkSimulatorMonth, reporting throughput in sessions per second

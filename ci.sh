@@ -35,8 +35,8 @@ go test -race . ./internal/engine/... ./cmd/consumelocald/... \
 # and expose the documented families — see docs/OBSERVABILITY.md.
 go test -count=1 -run 'TestMetrics|TestHealthzPayload' ./cmd/consumelocald
 go test -count=1 -run 'TestParseExposition|TestObsCounterAllocs|TestScrapeSteadyStateAllocs' ./internal/obs
-# Benchmark smoke: one iteration of every benchmark, so the perf
-# harness (make bench, cmd/consumelocal bench) can't bit-rot unnoticed.
+# Benchmark smoke: one iteration of every Go benchmark (make bench,
+# make microbench), so they can't bit-rot unnoticed.
 go test -run '^$' -bench . -benchtime 1x ./...
 # Load-harness smoke: spawn a real consumelocald and drive a small
 # concurrent fleet through the loadtest subcommand; the report must be

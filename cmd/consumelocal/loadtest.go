@@ -13,9 +13,8 @@ import (
 	"consumelocal/internal/loadgen"
 )
 
-// runLoadtest is the daemon-side companion to runBench: where bench
-// measures the replay engines in-process, loadtest hammers a real
-// consumelocald over HTTP with a concurrent client fleet — ingest
+// runLoadtest hammers a real consumelocald over HTTP with a concurrent
+// client fleet — ingest
 // producers (some silent, exercising the watermark=wall fallback),
 // snapshot followers and spooled-trace submitters — and writes the
 // latency/throughput/error report to BENCH_daemon.json. With -addr it

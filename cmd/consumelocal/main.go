@@ -8,7 +8,7 @@
 //
 // Experiments: table1, table3, table4, fig2, fig3, fig4, fig5, fig6,
 // ablations, provisioning, live, accounting, simulate, replay,
-// tracegen, bench, loadtest, all.
+// tracegen, loadtest, all.
 //
 // Flags:
 //
@@ -46,7 +46,7 @@ func run(args []string, out io.Writer) error {
 	}
 	name := args[0]
 
-	// The simulate, replay, bench and loadtest subcommands have their
+	// The simulate, replay and loadtest subcommands have their
 	// own flag sets (trace path, policy knobs, report output), so they
 	// dispatch before the shared experiment flags parse.
 	if name == "simulate" {
@@ -54,9 +54,6 @@ func run(args []string, out io.Writer) error {
 	}
 	if name == "replay" {
 		return runReplay(args[1:], out)
-	}
-	if name == "bench" {
-		return runBench(args[1:], out)
 	}
 	if name == "loadtest" {
 		return runLoadtest(args[1:], out)
@@ -135,8 +132,6 @@ experiments:
   replay     stream a trace CSV through the out-of-core engine with
              live windowed reports (-trace file, or stdin)
   tracegen   write a synthetic trace as CSV to stdout
-  bench      benchmark every replay engine on one shared workload and
-             record sessions/s, B/op and allocs/op (-o BENCH_replay.json)
   loadtest   hammer a consumelocald daemon with a concurrent client
              fleet and record latency percentiles, throughput and
              error counts (-addr or -daemon, -o BENCH_daemon.json)

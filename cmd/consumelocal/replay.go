@@ -18,9 +18,9 @@ import (
 // runReplay implements the `replay` subcommand on the unified Replay
 // pipeline: pick a source (-trace file, stdin, -generate for the live
 // synthetic generator, or -live for the evening-TV broadcast schedule
-// replayed through a live ingest stream), an engine mode, and print
-// live windowed reports followed by the same summary the simulate
-// subcommand produces. -ndjson swaps the table for the NDJSON snapshot
+// replayed through a live ingest stream) and print live windowed
+// reports followed by the same summary the simulate subcommand
+// produces. -ndjson swaps the table for the NDJSON snapshot
 // sink.
 func runReplay(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("replay", flag.ContinueOnError)
@@ -29,7 +29,6 @@ func runReplay(args []string, out io.Writer) error {
 	liveScale := fs.Float64("live", 0, "replay the evening-TV live broadcast schedule at this audience scale, fed through a live ingest stream with hourly watermarks")
 	genDays := fs.Int("days", 7, "generator horizon in days (with -generate)")
 	genSeed := fs.Int64("seed", 1, "generator seed (with -generate or -live)")
-	mode := fs.String("engine", "streaming", "engine mode: streaming, batch or parallel")
 	ratio := fs.Float64("ratio", 1.0, "upload-to-bitrate ratio q/beta")
 	window := fs.Int64("window", 3600, "reporting window in seconds")
 	workers := fs.Int("workers", runtime.GOMAXPROCS(0), "shard workers")
@@ -84,12 +83,8 @@ func runReplay(args []string, out io.Writer) error {
 		return fmt.Errorf("replay: -seed only applies with -generate or -live")
 	}
 
-	engineMode, err := consumelocal.ParseEngineMode(*mode)
-	if err != nil {
-		return fmt.Errorf("replay: %w", err)
-	}
-
 	var src consumelocal.Source
+	var err error
 	// ing keeps the live stream's handle when -live is set, so -stats can
 	// report the queue and backpressure figures at exit.
 	var ing *consumelocal.IngestSource
@@ -159,7 +154,6 @@ func runReplay(args []string, out io.Writer) error {
 
 	opts := []consumelocal.Option{
 		consumelocal.WithSimConfig(simCfg),
-		consumelocal.WithEngine(engineMode),
 		consumelocal.WithWindow(*window),
 		consumelocal.WithWorkers(*workers),
 	}
@@ -183,8 +177,8 @@ func runReplay(args []string, out io.Writer) error {
 	meta := job.Meta()
 	models := energy.BothModels()
 	if !*ndjson {
-		fmt.Fprintf(out, "replaying %q (%s engine): %d-day horizon, window %ds, %d workers\n\n",
-			meta.Name, job.Mode(), meta.Days(), *window, *workers)
+		fmt.Fprintf(out, "replaying %q: %d-day horizon, window %ds, %d workers\n\n",
+			meta.Name, meta.Days(), *window, *workers)
 		fmt.Fprintf(out, "%8s %10s %9s %8s %8s", "window", "sessions", "active", "traffic", "offload")
 		for _, p := range models {
 			fmt.Fprintf(out, " %10s", p.Name)

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -8,6 +9,7 @@ import (
 	"os"
 	"runtime"
 
+	"consumelocal"
 	"consumelocal/internal/carbon"
 	"consumelocal/internal/energy"
 	"consumelocal/internal/sim"
@@ -15,10 +17,11 @@ import (
 	"consumelocal/internal/trace"
 )
 
-// runSimulate implements the `simulate` subcommand: run the hybrid-CDN
-// simulator on a user-provided trace (CSV from -trace, or stdin) and
-// report system and per-ISP savings under both energy models. The full
-// result can be archived as JSON with -json for downstream analysis.
+// runSimulate implements the `simulate` subcommand: replay a
+// user-provided trace (CSV from -trace, or stdin) on the streaming
+// engine in one window spanning the horizon, and report system and
+// per-ISP savings under both energy models. The full result can be
+// archived as JSON with -json for downstream analysis.
 func runSimulate(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("simulate", flag.ContinueOnError)
 	tracePath := fs.String("trace", "", "trace CSV path (default: read stdin)")
@@ -29,7 +32,7 @@ func runSimulate(args []string, out io.Writer) error {
 	cityWide := fs.Bool("city-wide", false, "allow swarms to span ISPs")
 	mixedBitrates := fs.Bool("mixed-bitrates", false, "allow swarms to mix bitrate classes")
 	jsonPath := fs.String("json", "", "write the full result as JSON to this path")
-	workers := fs.Int("workers", runtime.GOMAXPROCS(0), "parallel simulation workers")
+	workers := fs.Int("workers", runtime.GOMAXPROCS(0), "shard workers")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -45,7 +48,13 @@ func runSimulate(args []string, out io.Writer) error {
 	cfg.QuantizeTickSec = *tick
 	cfg.Swarm = swarm.Options{RestrictISP: !*cityWide, SplitBitrate: !*mixedBitrates}
 
-	res, err := sim.RunParallel(tr, cfg, *workers)
+	job, err := consumelocal.Replay(context.Background(), consumelocal.TraceSource(tr),
+		consumelocal.WithSimConfig(cfg), consumelocal.WithWorkers(*workers),
+		consumelocal.WithWindow(tr.HorizonSec))
+	if err != nil {
+		return err
+	}
+	res, err := job.Result()
 	if err != nil {
 		return err
 	}

@@ -22,11 +22,12 @@ import (
 // the replay. Floats survive the JSON round trip exactly (encoding/json
 // emits shortest-round-trip representations), which is what makes
 // "byte-identical after restart" achievable rather than approximate.
+// Documents written by older daemons also carry a "mode" field, which
+// decoding ignores.
 type storedResult struct {
 	ID        int             `json:"id"`
 	Name      string          `json:"name"`
 	Kind      string          `json:"kind"`
-	Mode      string          `json:"mode"`
 	Started   time.Time       `json:"started"`
 	Meta      trace.Meta      `json:"meta"`
 	Snapshots int             `json:"snapshots"`
@@ -169,15 +170,10 @@ func (s *server) openDurability(dataDir string) error {
 // "carried" (already failed/cancelled, status re-served) or "dropped"
 // (journal says done but the result store has no document).
 func (s *server) recoverJob(st *joblog.JobState) (*job, string) {
-	// ParseEngineMode tolerates every mode the daemon ever journalled;
-	// an unknown one (journal from a newer binary) degrades to the
-	// zero mode rather than refusing recovery.
-	mode, _ := consumelocal.ParseEngineMode(st.Mode)
 	j := &job{
 		id:        st.ID,
 		name:      st.Name,
 		kind:      st.Kind,
-		mode:      mode,
 		srv:       s,
 		started:   st.Started,
 		meta:      st.Meta,
@@ -210,9 +206,6 @@ func (s *server) recoverJob(st *joblog.JobState) (*job, string) {
 		// Trust the stored document for identity too: it captured the
 		// exact view the daemon served before the crash.
 		j.name, j.kind, j.meta, j.started = sr.Name, sr.Kind, sr.Meta, sr.Started
-		if m, err := consumelocal.ParseEngineMode(sr.Mode); err == nil {
-			j.mode = m
-		}
 		if sr.Ingest {
 			j.recIngest, j.recPushed, j.recWatermark = true, sr.Pushed, sr.Watermark
 		}
@@ -266,9 +259,6 @@ func (s *server) resumeJob(st *joblog.JobState) (*job, error) {
 	if err != nil {
 		return nil, fmt.Errorf("journalled query: %w", err)
 	}
-	if sp.mode != consumelocal.EngineStreaming {
-		return nil, fmt.Errorf("journalled engine mode %s cannot follow a live stream", sp.mode)
-	}
 	capacity, err := parseIngestCapacity(q)
 	if err != nil {
 		return nil, fmt.Errorf("journalled query: %w", err)
@@ -294,45 +284,49 @@ func (s *server) resumeJob(st *joblog.JobState) (*job, error) {
 	if err != nil {
 		return nil, err
 	}
-	// On any re-feed failure, unwind the half-built pipeline: abort the
-	// queue, cancel the run, and drain it in the background so its
-	// goroutines exit.
-	unwind := func() {
+	j := &job{
+		id:       st.ID,
+		name:     st.Name,
+		kind:     st.Kind,
+		srv:      s,
+		started:  st.Started,
+		meta:     st.Meta,
+		replay:   rep,
+		ingest:   ing,
+		status:   "running",
+		changed:  make(chan struct{}),
+		rawQuery: st.Created.Query,
+	}
+	// The re-feed pushes through the bounded queue, and the engine stops
+	// reading it once its snapshot buffers fill: record the windows the
+	// tail settles into the job's history meanwhile, or a long tail
+	// blocks Push — and recovery — forever.
+	stopDrain := make(chan struct{})
+	drained := make(chan struct{})
+	go func() {
+		defer close(drained)
+		for {
+			select {
+			case snap, ok := <-rep.Snapshots():
+				if !ok {
+					return
+				}
+				j.record(snap)
+			case <-stopDrain:
+				return
+			}
+		}
+	}()
+	err = refeed(ing, st)
+	close(stopDrain)
+	<-drained
+	if err != nil {
+		// Unwind the half-built pipeline: abort the queue, cancel the
+		// run, and drain it in the background so its goroutines exit.
 		ing.Abort(errIngestJobOver)
 		rep.Cancel()
-		go func() {
-			for range rep.Snapshots() {
-			}
-			_, _ = rep.Result()
-		}()
-	}
-	// Re-feed the fsynced history. The engine consumes concurrently, so
-	// blocking pushes drain however deep the tail runs; watermarks apply
-	// after their batch, exactly as the original requests interleaved.
-	for _, t := range st.Tail {
-		if t.CSV != "" {
-			sessions, err := trace.ReadSessionsCSV(strings.NewReader(t.CSV))
-			if err != nil {
-				unwind()
-				return nil, fmt.Errorf("replay journalled batch: %w", err)
-			}
-			for _, sess := range sessions {
-				if err := ing.Push(sess); err != nil {
-					unwind()
-					return nil, fmt.Errorf("replay journalled batch: %w", err)
-				}
-			}
-		}
-		if t.WatermarkSec > ing.Watermark() {
-			if err := ing.Advance(t.WatermarkSec); err != nil {
-				unwind()
-				return nil, fmt.Errorf("replay journalled watermark: %w", err)
-			}
-		}
-	}
-	if got := ing.Pushed(); got != st.Sessions {
-		unwind()
-		return nil, fmt.Errorf("re-fed %d sessions but the journal accounts %d", got, st.Sessions)
+		go func() { _, _ = rep.Result() }()
+		return nil, err
 	}
 
 	// The wall clock restarts only after the re-feed: Advance is
@@ -344,27 +338,41 @@ func (s *server) resumeJob(st *joblog.JobState) (*job, error) {
 		stopWall = cancel
 		go wallWatermark(wallCtx, ing, st.Meta.HorizonSec, wall.interval, wall.rate)
 	}
-	j := &job{
-		id:       st.ID,
-		name:     st.Name,
-		kind:     st.Kind,
-		mode:     sp.mode,
-		srv:      s,
-		started:  st.Started,
-		meta:     st.Meta,
-		replay:   rep,
-		ingest:   ing,
-		status:   "running",
-		changed:  make(chan struct{}),
-		rawQuery: st.Created.Query,
-		cleanup: func() {
-			stopWall()
-			ing.Abort(errIngestJobOver)
-		},
+	j.cleanup = func() {
+		stopWall()
+		ing.Abort(errIngestJobOver)
 	}
 	s.armWatchdog(j)
 	go j.pump()
 	return j, nil
+}
+
+// refeed pushes a journalled batch tail into ing in journal order:
+// every session the old daemon fsynced before acking, each watermark
+// after its batch, exactly as the original requests interleaved.
+func refeed(ing *consumelocal.IngestSource, st *joblog.JobState) error {
+	for _, t := range st.Tail {
+		if t.CSV != "" {
+			sessions, err := trace.ReadSessionsCSV(strings.NewReader(t.CSV))
+			if err != nil {
+				return fmt.Errorf("replay journalled batch: %w", err)
+			}
+			for _, sess := range sessions {
+				if err := ing.Push(sess); err != nil {
+					return fmt.Errorf("replay journalled batch: %w", err)
+				}
+			}
+		}
+		if t.WatermarkSec > ing.Watermark() {
+			if err := ing.Advance(t.WatermarkSec); err != nil {
+				return fmt.Errorf("replay journalled watermark: %w", err)
+			}
+		}
+	}
+	if got := ing.Pushed(); got != st.Sessions {
+		return fmt.Errorf("re-fed %d sessions but the journal accounts %d", got, st.Sessions)
+	}
+	return nil
 }
 
 // closeDurability syncs and closes the journal on shutdown.
@@ -387,7 +395,6 @@ func (s *server) createdRecord(j *job) joblog.Record {
 		Job:     j.id,
 		Name:    j.name,
 		Kind:    j.kind,
-		Mode:    j.mode.String(),
 		Started: j.started,
 		Meta:    &meta,
 		Query:   j.rawQuery,
@@ -564,7 +571,6 @@ func (j *job) persistFinished() {
 			ID:        j.id,
 			Name:      j.name,
 			Kind:      j.kind,
-			Mode:      j.mode.String(),
 			Started:   j.started,
 			Meta:      j.meta,
 			Snapshots: total,

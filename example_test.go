@@ -1,6 +1,7 @@
 package consumelocal_test
 
 import (
+	"context"
 	"fmt"
 
 	"consumelocal"
@@ -41,16 +42,20 @@ func ExampleModel_CarbonCreditTransfer() {
 	// full sharing: +0.58
 }
 
-// ExampleSimulate runs the trace-driven simulator on a deterministic
-// synthetic workload and prices the outcome under both energy models.
-func ExampleSimulate() {
+// ExampleReplay replays a deterministic synthetic workload and prices
+// the outcome under both energy models.
+func ExampleReplay() {
 	cfg := consumelocal.DefaultTraceConfig(0.001)
 	cfg.Days = 3
 	tr, err := consumelocal.GenerateTrace(cfg)
 	if err != nil {
 		panic(err)
 	}
-	res, err := consumelocal.Simulate(tr, consumelocal.DefaultSimConfig(1.0))
+	job, err := consumelocal.Replay(context.Background(), consumelocal.TraceSource(tr))
+	if err != nil {
+		panic(err)
+	}
+	res, err := job.Result()
 	if err != nil {
 		panic(err)
 	}

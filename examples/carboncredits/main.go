@@ -11,6 +11,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"log"
@@ -36,7 +37,11 @@ func run(scale float64, days int) error {
 	if err != nil {
 		return err
 	}
-	res, err := consumelocal.Simulate(tr, consumelocal.DefaultSimConfig(1.0))
+	job, err := consumelocal.Replay(context.Background(), consumelocal.TraceSource(tr))
+	if err != nil {
+		return err
+	}
+	res, err := job.Result()
 	if err != nil {
 		return err
 	}

@@ -10,6 +10,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"log"
@@ -39,7 +40,12 @@ func run(scale float64, days int, ratio float64) error {
 	fmt.Printf("workload: %d users, %d sessions over %d days (%.1f TB watched)\n",
 		summary.Users, summary.Sessions, days, summary.TotalBytes/1e12)
 
-	res, err := consumelocal.Simulate(tr, consumelocal.DefaultSimConfig(ratio))
+	job, err := consumelocal.Replay(context.Background(), consumelocal.TraceSource(tr),
+		consumelocal.WithUploadRatio(ratio))
+	if err != nil {
+		return err
+	}
+	res, err := job.Result()
 	if err != nil {
 		return err
 	}

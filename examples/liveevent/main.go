@@ -12,6 +12,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"log"
@@ -45,15 +46,17 @@ func run(scale float64) error {
 		return err
 	}
 
-	simCfg := consumelocal.DefaultSimConfig(1.0)
-	liveRes, err := consumelocal.Simulate(live, simCfg)
-	if err != nil {
-		return err
+	var results [2]*consumelocal.SimResult
+	for i, tr := range []*consumelocal.Trace{live, catchup} {
+		job, err := consumelocal.Replay(context.Background(), consumelocal.TraceSource(tr))
+		if err != nil {
+			return err
+		}
+		if results[i], err = job.Result(); err != nil {
+			return err
+		}
 	}
-	cuRes, err := consumelocal.Simulate(catchup, simCfg)
-	if err != nil {
-		return err
-	}
+	liveRes, cuRes := results[0], results[1]
 
 	fmt.Printf("live evening: %d sessions across %d broadcasts\n",
 		len(live.Sessions), len(liveCfg.Events))

@@ -56,7 +56,7 @@ func run() error {
 	}
 
 	meta := job.Meta()
-	fmt.Printf("replaying %q live from the synthetic generator (%s engine)\n\n", meta.Name, job.Mode())
+	fmt.Printf("replaying %q live from the synthetic generator\n\n", meta.Name)
 	models := consumelocal.BothEnergyModels()
 	fmt.Printf("%8s %10s %9s %9s", "window", "sessions", "active", "offload")
 	for _, p := range models {

@@ -353,9 +353,9 @@ func (s *IngestSource) Abort(err error) {
 
 // Next implements Source by draining NextEvent, skipping watermark
 // marks. The streaming engine never calls it — it prefers NextEvent —
-// but the batch engines' materialise step and any plain-Source consumer
-// use it; they cannot be unblocked by a context, so pair Next-driven
-// consumption with Close/Abort from the producer side.
+// but a plain-Source consumer does; it cannot be unblocked by a
+// context, so pair Next-driven consumption with Close/Abort from the
+// producer side.
 func (s *IngestSource) Next() (Session, error) {
 	for {
 		ev, err := s.NextEvent(context.Background())

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"consumelocal"
+	"consumelocal/internal/sim"
 )
 
 func liveTestTrace(t testing.TB) *consumelocal.Trace {
@@ -49,17 +50,13 @@ func feedIngest(t testing.TB, ing *consumelocal.IngestSource, tr *consumelocal.T
 // TestIngestReplayMatchesMaterialisedTrace is the live-ingest acceptance
 // test: a replay fed session by session through an IngestSource — with
 // watermark advancement interleaved, exactly as a live broadcast would
-// drive it — must produce per-swarm results bit-for-bit identical to a
-// Replay over the equivalent materialised live trace.
+// drive it — must produce per-swarm results bit-for-bit identical to
+// the serial reference simulator over the equivalent materialised live
+// trace.
 func TestIngestReplayMatchesMaterialisedTrace(t *testing.T) {
 	tr := liveTestTrace(t)
 
-	wantJob, err := consumelocal.Replay(context.Background(), consumelocal.TraceSource(tr),
-		consumelocal.WithEngine(consumelocal.EngineBatch))
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := wantJob.Result()
+	want, err := sim.Run(tr, consumelocal.DefaultSimConfig(1.0))
 	if err != nil {
 		t.Fatal(err)
 	}

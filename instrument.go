@@ -20,9 +20,9 @@ func NewMetrics() *Metrics { return obs.NewRegistry() }
 // read, engine settle, sink emit), sessions read, windows settled, and
 // — when the Source is an IngestSource — queue depth, backpressure
 // stall time and watermark lag at the points backpressure actually
-// happens. Counters are plain atomics on the hot path; the overhead is
-// two clock reads per session on the source stage and per mark on the
-// settle stage, and nothing when the option is absent.
+// happens. Counters are plain atomics; the overhead is two clock reads
+// per session on each of the source and settle stages plus two per
+// window mark, and nothing when the option is absent.
 //
 // The same registry may be shared by many jobs: the stage counters
 // aggregate across them (this is how consumelocald exposes daemon-wide
@@ -81,9 +81,7 @@ func (t *timedLiveSource) NextEvent(ctx context.Context) (SourceEvent, error) {
 }
 
 // instrumentSource wraps src with stage timing, preserving the
-// LiveSource extension when present. The streaming engine is the only
-// caller — the batch path times its materialise step wholesale instead,
-// which also keeps TraceSource's in-memory shortcut intact.
+// LiveSource extension when present.
 func instrumentSource(src Source, m *obs.ReplayMetrics) Source {
 	if live, ok := src.(LiveSource); ok {
 		return &timedLiveSource{timedSource: timedSource{src: src, m: m}, live: live}

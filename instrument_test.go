@@ -3,11 +3,14 @@ package consumelocal_test
 import (
 	"bytes"
 	"context"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"consumelocal"
+	"consumelocal/internal/matching"
 	"consumelocal/internal/obs"
+	"consumelocal/internal/sim"
 )
 
 // scrape renders reg and parses it back through the exposition linter,
@@ -45,7 +48,7 @@ func TestInstrumentationStreaming(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plain, err := consumelocal.Simulate(tr, consumelocal.DefaultSimConfig(1.0))
+	plain, err := sim.Run(tr, consumelocal.DefaultSimConfig(1.0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,14 +72,33 @@ func TestInstrumentationStreaming(t *testing.T) {
 	}
 }
 
-// TestInstrumentationBatch covers the wholesale-timed batch path: the
-// source is not wrapped (the in-memory shortcut must survive), yet the
-// session count and the single final window are still accounted.
-func TestInstrumentationBatch(t *testing.T) {
-	tr := replayTestTrace(t)
+// timedPolicy wraps a matching policy and sums the wall-clock time
+// every engine worker spends inside MatchInto.
+type timedPolicy struct {
+	matching.Policy
+	nanos atomic.Int64
+}
+
+func (p *timedPolicy) MatchInto(a *matching.Allocation, peers []matching.Peer, demands, caps []float64, budget float64) error {
+	t0 := time.Now()
+	err := p.Policy.MatchInto(a, peers, demands, caps, budget)
+	p.nanos.Add(int64(time.Since(t0)))
+	return err
+}
+
+// TestInstrumentationSettleCoversSessionPath: the settle counter must
+// time every settlement, not only window marks. With one window spanning
+// the horizon the only mark is the final one, so most intervals settle
+// as sessions arrive; the counter must still cover every MatchInto.
+func TestInstrumentationSettleCoversSessionPath(t *testing.T) {
+	tr := liveTestTrace(t)
+	cfg := consumelocal.DefaultSimConfig(1.0)
+	policy := &timedPolicy{Policy: cfg.Policy}
+	cfg.Policy = policy
 	reg := consumelocal.NewMetrics()
 	job, err := consumelocal.Replay(context.Background(), consumelocal.TraceSource(tr),
-		consumelocal.WithEngine(consumelocal.EngineBatch), consumelocal.WithInstrumentation(reg))
+		consumelocal.WithSimConfig(cfg), consumelocal.WithWindow(tr.HorizonSec),
+		consumelocal.WithInstrumentation(reg))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,11 +106,16 @@ func TestInstrumentationBatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	exp := scrape(t, reg)
-	if got, _ := exp.Value("consumelocal_replay_source_sessions_total"); got != float64(len(tr.Sessions)) {
-		t.Fatalf("sessions total = %g, want %d", got, len(tr.Sessions))
-	}
 	if got, _ := exp.Value("consumelocal_replay_windows_settled_total"); got != 1 {
-		t.Fatalf("windows settled = %g, want 1 (batch emits one final snapshot)", got)
+		t.Fatalf("windows settled = %g, want 1", got)
+	}
+	matched := time.Duration(policy.nanos.Load()).Seconds()
+	if matched <= 0 {
+		t.Fatal("the policy never matched an interval")
+	}
+	settle, _ := exp.Value("consumelocal_replay_settle_seconds_total")
+	if settle < matched {
+		t.Fatalf("settle counter %.6fs < %.6fs spent inside MatchInto", settle, matched)
 	}
 }
 

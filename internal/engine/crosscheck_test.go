@@ -5,7 +5,9 @@ import (
 	"math"
 	"testing"
 
+	"consumelocal/internal/matching"
 	"consumelocal/internal/sim"
+	"consumelocal/internal/topology"
 	"consumelocal/internal/trace"
 )
 
@@ -41,12 +43,42 @@ func crosscheckConfigs() map[string]sim.Config {
 	tiered.UploadRatio = 0
 	tiered.UploadTiers = sim.UKBroadbandTiers()
 
+	random := base
+	random.Policy = matching.Random{}
+
+	// The two swarm restrictions are lifted one at a time: lifting both
+	// at once builds a few catalogue-wide swarms and costs seconds.
+	cityWide := base
+	cityWide.Swarm.RestrictISP = false
+
+	mixed := base
+	mixed.Swarm.SplitBitrate = false
+
+	unbudgeted := base
+	unbudgeted.DisablePaperBudget = true
+
+	absolute := base
+	absolute.UploadBps = 1e6
+
+	coarse := base
+	tree, err := topology.New("coarse", 345, 3)
+	if err != nil {
+		panic(err)
+	}
+	coarse.Topology = tree
+
 	return map[string]sim.Config{
 		"default":       base,
 		"quantized":     quantized,
 		"seeding":       seeded,
 		"participation": partial,
 		"tiers":         tiered,
+		"random":        random,
+		"city-wide":     cityWide,
+		"mixed-bitrate": mixed,
+		"no-budget":     unbudgeted,
+		"absolute-bps":  absolute,
+		"topology":      coarse,
 	}
 }
 
@@ -161,8 +193,7 @@ func TestStreamMatchesBatch(t *testing.T) {
 
 // TestStreamDeterministicAcrossWorkers checks that the sharded pipeline
 // is invariant to the worker count: per-swarm statistics and the total
-// are bit-for-bit identical, aggregates within float associativity —
-// mirroring sim.RunParallel's guarantee.
+// are bit-for-bit identical, aggregates within float associativity.
 func TestStreamDeterministicAcrossWorkers(t *testing.T) {
 	tr := testTrace(t)
 	cfg := sim.DefaultConfig(1.0)

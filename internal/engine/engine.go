@@ -13,8 +13,8 @@
 // same sequence of floating-point operations as the batch simulator:
 // cumulative per-swarm tallies and the key-ordered grand total are
 // bit-for-bit identical to sim.Run, while cross-swarm aggregates (day
-// grid, user ledgers) agree within floating-point associativity (~1e-12
-// relative), mirroring sim.RunParallel's documented guarantee.
+// grid, user ledgers) sum the same contributions in shard order and so
+// agree with it within floating-point associativity (~1e-12 relative).
 //
 // The event stream is sharded across workers by swarm key — swarms are
 // independent, so the partition is exact — and results merge in
@@ -60,9 +60,10 @@ type Config struct {
 	// propagates through the workers to the input reader. Defaults to 4.
 	SnapshotBuffer int
 	// Stats, when non-nil, receives per-stage instrumentation: workers
-	// accumulate settle time per window mark. The counters are atomics,
-	// so recording costs two clock reads per mark — nothing on the
-	// per-session hot path.
+	// time every settlement, both the Advance an arriving session makes
+	// and each window mark. That costs two clock reads per session and
+	// per mark, and one atomic add per mark; without Stats the clock is
+	// never read.
 	Stats *obs.ReplayMetrics
 }
 

@@ -100,11 +100,14 @@ type worker struct {
 	booker sim.Booker
 	active int
 	err    error
-	// stats, when non-nil, accumulates settle time per window mark —
-	// mark granularity keeps the clock off the per-interval hot path.
-	stats *obs.ReplayMetrics
+	// stats, when non-nil, receives settle time: the Advance each
+	// arriving session makes plus every window mark. settling holds the
+	// session-path share until the next mark publishes it, so the shared
+	// counter sees one atomic add per mark, not one per session.
+	stats    *obs.ReplayMetrics
+	settling time.Duration
 
-	// scratch buffers reused across intervals, as in the batch engine.
+	// scratch buffers reused across intervals, as in sim.Run.
 	peers   []matching.Peer
 	demands []float64
 	caps    []float64
@@ -143,7 +146,8 @@ func (w *worker) run(in <-chan wmsg, acks chan<- ack, reports chan<- report) {
 		if w.stats != nil {
 			t0 := time.Now()
 			w.mark(msg.until, msg.final)
-			w.stats.SettleSeconds.Add(time.Since(t0).Seconds())
+			w.stats.SettleSeconds.Add((w.settling + time.Since(t0)).Seconds())
+			w.settling = 0
 		} else {
 			w.mark(msg.until, msg.final)
 		}
@@ -172,7 +176,13 @@ func (w *worker) session(it *item) {
 	}
 
 	s := it.sess
-	st.tracker.Advance(s.StartSec, st)
+	if w.stats != nil {
+		t0 := time.Now()
+		st.tracker.Advance(s.StartSec, st)
+		w.settling += time.Since(t0)
+	} else {
+		st.tracker.Advance(s.StartSec, st)
+	}
 
 	m := member{
 		s:         s,
@@ -233,7 +243,7 @@ func (w *worker) mark(until int64, final bool) {
 }
 
 // settle matches one completed activity interval and books the outcome —
-// the streaming twin of the batch engine's runInterval/book, performing
+// the streaming twin of sim.Run's runInterval/book, performing
 // the identical sequence of floating-point operations so per-swarm
 // tallies match sim.Run bit for bit.
 //

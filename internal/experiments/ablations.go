@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"runtime"
 
 	"consumelocal/internal/core"
 	"consumelocal/internal/matching"
@@ -35,7 +34,7 @@ func AblationMatching(cfg Config) (*Table, error) {
 		simCfg := sim.DefaultConfig(cfg.UploadRatio)
 		simCfg.Policy = policy
 		simCfg.TrackUsers = false
-		result, err := sim.RunParallel(tr, simCfg, runtime.GOMAXPROCS(0))
+		result, err := replay(tr, simCfg)
 		if err != nil {
 			return nil, fmt.Errorf("experiments: ablation matching: %w", err)
 		}
@@ -80,7 +79,7 @@ func AblationSwarmScope(cfg Config) (*Table, error) {
 		simCfg := sim.DefaultConfig(cfg.UploadRatio)
 		simCfg.Swarm = tc.opts
 		simCfg.TrackUsers = false
-		result, err := sim.RunParallel(tr, simCfg, runtime.GOMAXPROCS(0))
+		result, err := replay(tr, simCfg)
 		if err != nil {
 			return nil, fmt.Errorf("experiments: ablation scope: %w", err)
 		}
@@ -115,7 +114,7 @@ func AblationBudget(cfg Config) (*Table, error) {
 		simCfg := sim.DefaultConfig(cfg.UploadRatio)
 		simCfg.DisablePaperBudget = disabled
 		simCfg.TrackUsers = false
-		result, err := sim.RunParallel(tr, simCfg, runtime.GOMAXPROCS(0))
+		result, err := replay(tr, simCfg)
 		if err != nil {
 			return nil, fmt.Errorf("experiments: ablation budget: %w", err)
 		}

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"runtime"
 	"sort"
 
 	"consumelocal/internal/energy"
@@ -28,7 +27,7 @@ func Accounting(cfg Config) (*Table, error) {
 		return nil, fmt.Errorf("experiments: accounting: %w", err)
 	}
 	simCfg := sim.DefaultConfig(cfg.UploadRatio)
-	result, err := sim.RunParallel(tr, simCfg, runtime.GOMAXPROCS(0))
+	result, err := replay(tr, simCfg)
 	if err != nil {
 		return nil, fmt.Errorf("experiments: accounting: %w", err)
 	}

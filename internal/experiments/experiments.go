@@ -27,9 +27,22 @@ import (
 	"strings"
 
 	"consumelocal/internal/energy"
+	"consumelocal/internal/engine"
+	"consumelocal/internal/sim"
 	"consumelocal/internal/stats"
 	"consumelocal/internal/trace"
 )
+
+// replay runs tr under cfg on the streaming engine with one reporting
+// window spanning the horizon: the experiments read only the final
+// result, whose per-swarm tallies and total equal sim.Run bit for bit.
+func replay(tr *trace.Trace, cfg sim.Config) (*sim.Result, error) {
+	run, err := engine.Stream(engine.TraceSource(tr), engine.Config{Sim: cfg, WindowSec: tr.HorizonSec})
+	if err != nil {
+		return nil, err
+	}
+	return run.Result()
+}
 
 // Config carries the shared knobs of the trace-driven experiments.
 type Config struct {

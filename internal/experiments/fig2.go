@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"runtime"
 	"sort"
 
 	"consumelocal/internal/core"
@@ -100,7 +99,7 @@ func Fig2(cfg Config) (*Fig2Result, error) {
 		for _, ratio := range Fig2Ratios {
 			simCfg := sim.DefaultConfig(ratio)
 			simCfg.TrackUsers = false
-			result, err := sim.RunParallel(sub, simCfg, runtime.GOMAXPROCS(0))
+			result, err := replay(sub, simCfg)
 			if err != nil {
 				return nil, fmt.Errorf("experiments: fig2: tier %s: %w", tier.name, err)
 			}

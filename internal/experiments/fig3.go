@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"runtime"
 	"sort"
 
 	"consumelocal/internal/energy"
@@ -34,7 +33,7 @@ func Fig3(cfg Config) (*Fig3Result, error) {
 	}
 	simCfg := sim.DefaultConfig(cfg.UploadRatio)
 	simCfg.TrackUsers = false
-	result, err := sim.RunParallel(tr, simCfg, runtime.GOMAXPROCS(0))
+	result, err := replay(tr, simCfg)
 	if err != nil {
 		return nil, fmt.Errorf("experiments: fig3: %w", err)
 	}

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"runtime"
 
 	"consumelocal/internal/core"
 	"consumelocal/internal/sim"
@@ -37,7 +36,7 @@ func Fig4(cfg Config) (*Fig4Result, error) {
 	}
 	simCfg := sim.DefaultConfig(cfg.UploadRatio)
 	simCfg.TrackUsers = false
-	result, err := sim.RunParallel(tr, simCfg, runtime.GOMAXPROCS(0))
+	result, err := replay(tr, simCfg)
 	if err != nil {
 		return nil, fmt.Errorf("experiments: fig4: %w", err)
 	}

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"runtime"
 
 	"consumelocal/internal/carbon"
 	"consumelocal/internal/sim"
@@ -28,7 +27,7 @@ func Fig6(cfg Config) (*Fig6Result, error) {
 		return nil, fmt.Errorf("experiments: fig6: %w", err)
 	}
 	simCfg := sim.DefaultConfig(cfg.UploadRatio)
-	result, err := sim.RunParallel(tr, simCfg, runtime.GOMAXPROCS(0))
+	result, err := replay(tr, simCfg)
 	if err != nil {
 		return nil, fmt.Errorf("experiments: fig6: %w", err)
 	}

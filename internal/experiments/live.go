@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"runtime"
 
 	"consumelocal/internal/sim"
 	"consumelocal/internal/trace"
@@ -49,7 +48,7 @@ func Live(cfg Config) (*Table, error) {
 	} {
 		simCfg := sim.DefaultConfig(cfg.UploadRatio)
 		simCfg.TrackUsers = false
-		result, err := sim.RunParallel(tc.tr, simCfg, runtime.GOMAXPROCS(0))
+		result, err := replay(tc.tr, simCfg)
 		if err != nil {
 			return nil, fmt.Errorf("experiments: live: %s: %w", tc.name, err)
 		}

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"runtime"
 
 	"consumelocal/internal/sim"
 	"consumelocal/internal/trace"
@@ -38,7 +37,7 @@ func AblationParticipation(cfg Config) (*Table, error) {
 		simCfg := sim.DefaultConfig(cfg.UploadRatio)
 		simCfg.ParticipationRate = rate
 		simCfg.TrackUsers = false
-		result, err := sim.RunParallel(tr, simCfg, runtime.GOMAXPROCS(0))
+		result, err := replay(tr, simCfg)
 		if err != nil {
 			return nil, fmt.Errorf("experiments: ablation participation: %w", err)
 		}

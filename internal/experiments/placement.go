@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"runtime"
 
 	"consumelocal/internal/core"
 	"consumelocal/internal/sim"
@@ -40,7 +39,7 @@ func AblationPlacement(cfg Config) (*Table, error) {
 		}
 		simCfg := sim.DefaultConfig(cfg.UploadRatio)
 		simCfg.TrackUsers = false
-		result, err := sim.RunParallel(tr, simCfg, runtime.GOMAXPROCS(0))
+		result, err := replay(tr, simCfg)
 		if err != nil {
 			return nil, fmt.Errorf("experiments: ablation placement: %w", err)
 		}
@@ -78,7 +77,7 @@ func PlacementGap(cfg Config, skew float64) (float64, error) {
 	}
 	simCfg := sim.DefaultConfig(cfg.UploadRatio)
 	simCfg.TrackUsers = false
-	result, err := sim.RunParallel(tr, simCfg, runtime.GOMAXPROCS(0))
+	result, err := replay(tr, simCfg)
 	if err != nil {
 		return 0, err
 	}

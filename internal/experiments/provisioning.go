@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"runtime"
 
 	"consumelocal/internal/cdn"
 	"consumelocal/internal/sim"
@@ -23,7 +22,7 @@ func Provisioning(cfg Config) (*Table, error) {
 	}
 	simCfg := sim.DefaultConfig(cfg.UploadRatio)
 	simCfg.TrackUsers = false
-	result, err := sim.RunParallel(tr, simCfg, runtime.GOMAXPROCS(0))
+	result, err := replay(tr, simCfg)
 	if err != nil {
 		return nil, fmt.Errorf("experiments: provisioning: %w", err)
 	}

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"runtime"
 
 	"consumelocal/internal/sim"
 	"consumelocal/internal/trace"
@@ -37,7 +36,7 @@ func ScaleSweep(cfg Config, scales []float64) (*Table, error) {
 		}
 		simCfg := sim.DefaultConfig(cfg.UploadRatio)
 		simCfg.TrackUsers = false
-		result, err := sim.RunParallel(tr, simCfg, runtime.GOMAXPROCS(0))
+		result, err := replay(tr, simCfg)
 		if err != nil {
 			return nil, fmt.Errorf("experiments: scale sweep: %w", err)
 		}

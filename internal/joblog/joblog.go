@@ -36,9 +36,10 @@ import (
 
 // Record types, one per journalled transition.
 const (
-	// TypeCreated records a job's admission: identity, kind, engine
-	// mode and stream metadata — everything a restarted daemon needs to
-	// rebuild the registry entry.
+	// TypeCreated records a job's admission: identity, kind and stream
+	// metadata — everything a restarted daemon needs to rebuild the
+	// registry entry. Journals from older daemons also carry an engine
+	// "mode", which replay ignores.
 	TypeCreated = "created"
 	// TypeBatch records an accepted ingest batch (and the watermark it
 	// advanced to, when it carried one). Appended — and fsynced —
@@ -73,7 +74,6 @@ type Record struct {
 	// resume the stream; a created record without one is not resumable.
 	Name    string      `json:"name,omitempty"`
 	Kind    string      `json:"kind,omitempty"`
-	Mode    string      `json:"mode,omitempty"`
 	Started time.Time   `json:"started,omitzero"`
 	Meta    *trace.Meta `json:"meta,omitempty"`
 	Query   string      `json:"query,omitempty"`
@@ -111,7 +111,6 @@ type JobState struct {
 	ID      int
 	Name    string
 	Kind    string
-	Mode    string
 	Started time.Time
 	Meta    trace.Meta
 
@@ -309,7 +308,7 @@ func (rec *Recovery) apply(states map[int]*JobState, r *Record) {
 	switch r.Type {
 	case TypeCreated:
 		st := ensure()
-		st.Name, st.Kind, st.Mode, st.Started = r.Name, r.Kind, r.Mode, r.Started
+		st.Name, st.Kind, st.Started = r.Name, r.Kind, r.Started
 		if r.Meta != nil {
 			st.Meta = *r.Meta
 		}
@@ -504,7 +503,7 @@ func CompactionPlan(rec *Recovery) []Record {
 		if created == nil {
 			created = &Record{
 				Type: TypeCreated, Job: st.ID,
-				Name: st.Name, Kind: st.Kind, Mode: st.Mode, Started: st.Started,
+				Name: st.Name, Kind: st.Kind, Started: st.Started,
 			}
 		}
 		recs = append(recs, *created)

@@ -29,11 +29,11 @@ func TestJournalRoundTrip(t *testing.T) {
 	started := time.Date(2026, 8, 8, 12, 0, 0, 0, time.UTC)
 	meta := trace.Meta{Name: "evening", HorizonSec: 3600, NumUsers: 10, NumContent: 3, NumISPs: 2}
 	records := []Record{
-		{Type: TypeCreated, Job: 1, Name: "evening", Kind: "ingest", Mode: "streaming", Started: started, Meta: &meta},
+		{Type: TypeCreated, Job: 1, Name: "evening", Kind: "ingest", Started: started, Meta: &meta},
 		{Type: TypeBatch, Job: 1, Sessions: 100, WatermarkSec: 600},
 		{Type: TypeBatch, Job: 1, Sessions: 50, WatermarkSec: 1200},
 		{Type: TypeWatermark, Job: 1, WatermarkSec: 1800},
-		{Type: TypeCreated, Job: 2, Name: "gen", Kind: "generator", Mode: "streaming", Started: started},
+		{Type: TypeCreated, Job: 2, Name: "gen", Kind: "generator", Started: started},
 		{Type: TypeFinished, Job: 2, Status: "done", Snapshots: 24},
 	}
 	for _, r := range records {
@@ -85,7 +85,7 @@ func TestJournalTornTail(t *testing.T) {
 		t.Run(cut.name, func(t *testing.T) {
 			dir := t.TempDir()
 			j, _ := openT(t, dir)
-			if err := j.Append(Record{Type: TypeCreated, Job: 1, Kind: "ingest", Mode: "streaming"}); err != nil {
+			if err := j.Append(Record{Type: TypeCreated, Job: 1, Kind: "ingest"}); err != nil {
 				t.Fatal(err)
 			}
 			if err := j.Append(Record{Type: TypeBatch, Job: 1, Sessions: 10, WatermarkSec: 60}); err != nil {
@@ -145,7 +145,7 @@ func TestJournalTornTail(t *testing.T) {
 func TestJournalRewrite(t *testing.T) {
 	dir := t.TempDir()
 	j, _ := openT(t, dir)
-	if err := j.Append(Record{Type: TypeCreated, Job: 1, Kind: "ingest", Mode: "streaming"}); err != nil {
+	if err := j.Append(Record{Type: TypeCreated, Job: 1, Kind: "ingest"}); err != nil {
 		t.Fatal(err)
 	}
 	if err := j.Append(Record{Type: TypeBatch, Job: 1, Sessions: 40, WatermarkSec: 60}); err != nil {
@@ -159,14 +159,14 @@ func TestJournalRewrite(t *testing.T) {
 	// created+finished pair.
 	err := j.Rewrite([]Record{
 		{Type: TypeCheckpoint, Sessions: 40, Batches: 1},
-		{Type: TypeCreated, Job: 1, Kind: "ingest", Mode: "streaming"},
+		{Type: TypeCreated, Job: 1, Kind: "ingest"},
 		{Type: TypeFinished, Job: 1, Status: "done", Snapshots: 3, Sessions: 40, WatermarkSec: 60},
 	})
 	if err != nil {
 		t.Fatalf("Rewrite: %v", err)
 	}
 	// The journal must stay appendable after a rewrite.
-	if err := j.Append(Record{Type: TypeCreated, Job: 2, Kind: "generator", Mode: "batch"}); err != nil {
+	if err := j.Append(Record{Type: TypeCreated, Job: 2, Kind: "generator"}); err != nil {
 		t.Fatalf("append after rewrite: %v", err)
 	}
 	if err := j.Close(); err != nil {
@@ -208,7 +208,7 @@ func TestJournalRewrite(t *testing.T) {
 func TestJournalEvicted(t *testing.T) {
 	dir := t.TempDir()
 	j, _ := openT(t, dir)
-	if err := j.Append(Record{Type: TypeCreated, Job: 7, Kind: "trace", Mode: "streaming"}); err != nil {
+	if err := j.Append(Record{Type: TypeCreated, Job: 7, Kind: "trace"}); err != nil {
 		t.Fatal(err)
 	}
 	if err := j.Append(Record{Type: TypeFinished, Job: 7, Status: "done"}); err != nil {
@@ -279,10 +279,10 @@ func TestJournalCompactPreservesTail(t *testing.T) {
 	dir := t.TempDir()
 	j, _ := openT(t, dir)
 	appends := []Record{
-		{Type: TypeCreated, Job: 1, Kind: "ingest", Mode: "streaming", Query: "source=ingest&horizon=3600"},
+		{Type: TypeCreated, Job: 1, Kind: "ingest", Query: "source=ingest&horizon=3600"},
 		{Type: TypeBatch, Job: 1, Sessions: 10, CSV: "row-a", WatermarkSec: 600},
 		{Type: TypeBatch, Job: 1, Sessions: 5, CSV: "row-b", WatermarkSec: 1200},
-		{Type: TypeCreated, Job: 2, Kind: "generator", Mode: "streaming"},
+		{Type: TypeCreated, Job: 2, Kind: "generator"},
 		{Type: TypeFinished, Job: 2, Status: "done", Snapshots: 4},
 	}
 	for _, r := range appends {
@@ -388,11 +388,11 @@ func FuzzJournalReplay(f *testing.F) {
 		f.Fatal(err)
 	}
 	seed := []Record{
-		{Type: TypeCreated, Job: 1, Kind: "ingest", Mode: "streaming", Query: "source=ingest&horizon=3600&users=10&content=3&isps=2"},
+		{Type: TypeCreated, Job: 1, Kind: "ingest", Query: "source=ingest&horizon=3600&users=10&content=3&isps=2"},
 		{Type: TypeBatch, Job: 1, Sessions: 3, CSV: "0,0,0,0,5,600,1500\n1,1,1,1,9,600,1500\n2,2,0,2,14,600,1500\n", WatermarkSec: 600},
 		{Type: TypeWatermark, Job: 1, WatermarkSec: 1200},
 		{Type: TypeCheckpoint, Sessions: 40, Batches: 2},
-		{Type: TypeCreated, Job: 2, Kind: "generator", Mode: "streaming"},
+		{Type: TypeCreated, Job: 2, Kind: "generator"},
 		{Type: TypeFinished, Job: 2, Status: "done", Snapshots: 7},
 	}
 	for _, r := range seed {

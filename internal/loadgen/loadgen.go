@@ -14,9 +14,8 @@
 // implementation), scrapes are parsed with obs.ParseExposition (the CI
 // metrics linter), and the workload is the evening-TV live trace the
 // ingest API was designed around. The JSON report (BENCH_daemon.json)
-// is the daemon-side companion to BENCH_replay.json: where bench
-// measures the engines in-process, loadtest measures the whole service
-// under concurrent HTTP load. See docs/LOADTEST.md.
+// measures the whole service under concurrent HTTP load. See
+// docs/LOADTEST.md.
 package loadgen
 
 import (

@@ -14,7 +14,7 @@ import (
 )
 
 // Report is the BENCH_daemon.json schema: the daemon-side perf
-// trajectory, recorded per PR next to BENCH_replay.json. Client-side
+// trajectory. Client-side
 // numbers come from the harness's own histograms and counters;
 // server-side numbers come from /metrics scrapes bracketing the run,
 // so the two views can be cross-checked (Skew).

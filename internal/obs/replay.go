@@ -16,10 +16,9 @@ type ReplayMetrics struct {
 	SourceReadSeconds *Counter
 	// SourceSessions counts sessions read from the Source.
 	SourceSessions *Counter
-	// SettleSeconds accumulates wall-clock time the engine spends
-	// settling activity intervals: window marks on the streaming
-	// engine's workers (summed across workers, so it can exceed
-	// wall-clock), the whole simulation on the batch engines.
+	// SettleSeconds accumulates wall-clock time the engine's workers
+	// spend settling activity intervals, both as sessions arrive and at
+	// window marks (summed across workers, so it can exceed wall-clock).
 	SettleSeconds *Counter
 	// SinkEmitSeconds accumulates wall-clock time spent delivering
 	// snapshots to attached sinks and the Job channel.
@@ -68,7 +67,7 @@ func NewStageMetrics(r *Registry) *ReplayMetrics {
 		SourceSessions: r.Counter("consumelocal_replay_source_sessions_total",
 			"Sessions read from the replay source."),
 		SettleSeconds: r.Counter("consumelocal_replay_settle_seconds_total",
-			"Seconds spent settling activity intervals, summed across engine workers."),
+			"Seconds spent settling activity intervals as sessions arrive and at window marks, summed across engine workers."),
 		SinkEmitSeconds: r.Counter("consumelocal_replay_sink_emit_seconds_total",
 			"Wall-clock seconds spent delivering snapshots to sinks and the job channel."),
 		WindowsSettled: r.Counter("consumelocal_replay_windows_settled_total",

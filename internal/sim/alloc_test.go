@@ -7,7 +7,7 @@ import (
 )
 
 // TestRunAllocsCeiling mirrors swarm.TestTrackerAdvanceAllocs for the
-// batch engine: after one warm-up run has populated the grouper and
+// reference simulator: after one warm-up run has populated the grouper and
 // matching pools, a full sim.Run over ~47k sessions must stay under a
 // small fixed allocation ceiling. Before the reusable Sweeper /
 // MatchInto / Grouper work the same run cost ~200k allocations (one

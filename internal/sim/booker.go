@@ -37,7 +37,7 @@ type SessionSlice []trace.Session
 func (s SessionSlice) SessionAt(idx int) trace.Session { return s[idx] }
 
 // SliceSource is a re-pointable SessionSource over a session list. The
-// batch engine holds one and repoints it at each swarm's sessions, so
+// reference simulator holds one and repoints it at each swarm's sessions, so
 // booking an interval converts a pointer into the interface — one word,
 // no per-interval boxing allocation.
 type SliceSource struct {

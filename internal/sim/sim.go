@@ -17,7 +17,6 @@
 package sim
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"sync"
@@ -294,16 +293,11 @@ type Result struct {
 	PolicyName string `json:"policy"`
 }
 
-// Run simulates the trace under the configuration.
+// Run simulates the trace under the configuration, one swarm after
+// another in key order. It is the serial reference every replay engine
+// is checked against: its per-swarm tallies and total define the
+// bit-for-bit contract.
 func Run(t *trace.Trace, cfg Config) (*Result, error) {
-	return RunContext(context.Background(), t, cfg)
-}
-
-// RunContext is Run under a context: cancellation is observed between
-// swarm sweeps, so a very large in-memory run aborts after at most one
-// more swarm instead of completing the whole trace. A cancelled run
-// returns ctx.Err() and no result.
-func RunContext(ctx context.Context, t *trace.Trace, cfg Config) (*Result, error) {
 	cfg = cfg.withDefaults()
 	if err := cfg.validate(); err != nil {
 		return nil, err
@@ -328,9 +322,6 @@ func RunContext(ctx context.Context, t *trace.Trace, cfg Config) (*Result, error
 
 	eng := &engine{cfg: cfg, trace: t, result: res, booker: Booker{Days: res.Days, Users: res.Users}}
 	for _, sw := range swarms {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
 		if err := eng.runSwarm(sw); err != nil {
 			return nil, err
 		}
@@ -363,7 +354,7 @@ type engine struct {
 
 	// sweeper holds the per-swarm sweep scratch (event slice, active
 	// set, interval buffer and arena), reused across every swarm of the
-	// run — per worker in the parallel engine.
+	// run.
 	sweeper swarm.Sweeper
 	// alloc is the engine-owned matching result, recycled through
 	// Policy.MatchInto each interval.

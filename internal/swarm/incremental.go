@@ -22,17 +22,18 @@ type Sink interface {
 // Tracker maintains one swarm's activity incrementally: member
 // open/close events are scheduled as sessions arrive, and completed
 // activity intervals are settled on demand as the event-time watermark
-// advances. Fed the same membership, a Tracker reproduces Sweep exactly —
-// the same interval boundaries, the same active sets in the same order —
-// without ever holding the swarm's full session list. It is the
+// advances. Fed the same membership, a Tracker reproduces
+// Sweeper.Sweep exactly — the same interval boundaries, the same active
+// sets in the same order — without ever holding the swarm's full
+// session list. It is the
 // incremental core of the streaming engine (internal/engine), where whole
 // traces are too large to group up front.
 //
-// The contract mirrors Sweep's event ordering: at any instant, member
-// ends settle before member starts, so back-to-back sessions never
-// appear concurrent. Emitted Active sets list members in Schedule-call
-// order — identical to Sweep's index order when members are scheduled in
-// session order, but independent of the caller's index values, so the
+// The contract mirrors Sweeper.Sweep's event ordering: at any instant,
+// member ends settle before member starts, so back-to-back sessions
+// never appear concurrent. Emitted Active sets list members in
+// Schedule-call order — identical to the Sweeper's index order when
+// members are scheduled in session order, but independent of the caller's index values, so the
 // engine can reuse member indices through a free list without perturbing
 // the batch simulator's floating-point operation sequence.
 //

@@ -72,7 +72,7 @@ func TestTrackerMatchesSweepRandom(t *testing.T) {
 		sort.Slice(sessions, func(i, j int) bool { return sessions[i].StartSec < sessions[j].StartSec })
 
 		sw := &Swarm{Sessions: sessions}
-		want := sw.Sweep()
+		want := new(Sweeper).Sweep(sw)
 		got, closes := feedTracker(sessions)
 		assertIntervalsEqual(t, got, want)
 		if len(closes) != n {
@@ -89,7 +89,7 @@ func TestTrackerBackToBackSessionsNotConcurrent(t *testing.T) {
 		{UserID: 1, StartSec: 10, DurationSec: 10, Bitrate: trace.BitrateSD},
 	}
 	got, _ := feedTracker(sessions)
-	want := (&Swarm{Sessions: sessions}).Sweep()
+	want := new(Sweeper).Sweep(&Swarm{Sessions: sessions})
 	assertIntervalsEqual(t, got, want)
 	for _, iv := range got {
 		if len(iv.Active) != 1 {
@@ -128,7 +128,7 @@ func TestTrackerFutureOpens(t *testing.T) {
 			seeder.DurationSec = retention
 			members = append(members, seeder)
 		}
-		want := (&Swarm{Sessions: members}).Sweep()
+		want := new(Sweeper).Sweep(&Swarm{Sessions: members})
 
 		// Streaming: schedule a seeder alongside each real session.
 		tr := NewTracker()
@@ -159,7 +159,7 @@ func TestTrackerIndexReuse(t *testing.T) {
 		{UserID: 1, StartSec: 0, DurationSec: 100, Bitrate: trace.BitrateSD}, // index 1, long-lived
 		{UserID: 2, StartSec: 20, DurationSec: 30, Bitrate: trace.BitrateSD}, // reuses index 0
 	}
-	want := (&Swarm{Sessions: sessions}).Sweep()
+	want := new(Sweeper).Sweep(&Swarm{Sessions: sessions})
 
 	tr := NewTracker()
 	var c collector

@@ -141,25 +141,11 @@ type Interval struct {
 // Seconds returns the interval length.
 func (iv Interval) Seconds() float64 { return float64(iv.To - iv.From) }
 
-// Sweep produces the swarm's activity intervals in time order. Intervals
-// with no active sessions are omitted: they contribute neither demand nor
-// peer traffic. The Active slices index into sw.Sessions.
-//
-// Deprecated: Sweep allocates a throwaway Sweeper per call. Callers that
-// sweep many swarms (the simulator's shape) should hold a Sweeper and
-// reuse its scratch buffers across the loop; Sweep remains for one-off
-// callers and produces the identical interval sequence.
-//
-//consumelocal:borrowed return
-func (sw *Swarm) Sweep() []Interval {
-	return new(Sweeper).Sweep(sw)
-}
-
 // PeakConcurrency returns the maximum number of simultaneously active
 // sessions in the swarm.
 func (sw *Swarm) PeakConcurrency() int {
 	peak := 0
-	for _, iv := range sw.Sweep() {
+	for _, iv := range new(Sweeper).Sweep(sw) {
 		if len(iv.Active) > peak {
 			peak = len(iv.Active)
 		}
@@ -170,7 +156,7 @@ func (sw *Swarm) PeakConcurrency() int {
 // ActiveSeconds returns the total time the swarm has at least one active
 // session, and the time it has at least two (i.e. sharing is possible).
 func (sw *Swarm) ActiveSeconds() (busy, sharing float64) {
-	for _, iv := range sw.Sweep() {
+	for _, iv := range new(Sweeper).Sweep(sw) {
 		busy += iv.Seconds()
 		if len(iv.Active) >= 2 {
 			sharing += iv.Seconds()

@@ -156,7 +156,7 @@ func TestSweepSimpleOverlap(t *testing.T) {
 		session(1, 0, 0, 0, 100, trace.BitrateSD),  // [0, 100)
 		session(2, 0, 0, 50, 100, trace.BitrateSD), // [50, 150)
 	}}
-	intervals := sw.Sweep()
+	intervals := new(Sweeper).Sweep(sw)
 	want := []struct {
 		from, to int64
 		active   []int
@@ -189,7 +189,7 @@ func TestSweepSkipsEmptyGaps(t *testing.T) {
 		session(1, 0, 0, 0, 10, trace.BitrateSD),
 		session(2, 0, 0, 100, 10, trace.BitrateSD),
 	}}
-	intervals := sw.Sweep()
+	intervals := new(Sweeper).Sweep(sw)
 	if len(intervals) != 2 {
 		t.Fatalf("got %d intervals, want 2 (gap omitted)", len(intervals))
 	}
@@ -204,7 +204,7 @@ func TestSweepBackToBackSessionsNotConcurrent(t *testing.T) {
 		session(1, 0, 0, 0, 100, trace.BitrateSD),
 		session(2, 0, 0, 100, 100, trace.BitrateSD),
 	}}
-	for _, iv := range sw.Sweep() {
+	for _, iv := range new(Sweeper).Sweep(sw) {
 		if len(iv.Active) > 1 {
 			t.Errorf("back-to-back sessions appear concurrent in %+v", iv)
 		}
@@ -217,7 +217,7 @@ func TestSweepIdenticalIntervals(t *testing.T) {
 		session(2, 0, 0, 10, 50, trace.BitrateSD),
 		session(3, 0, 0, 10, 50, trace.BitrateSD),
 	}}
-	intervals := sw.Sweep()
+	intervals := new(Sweeper).Sweep(sw)
 	if len(intervals) != 1 {
 		t.Fatalf("got %d intervals, want 1", len(intervals))
 	}
@@ -228,7 +228,7 @@ func TestSweepIdenticalIntervals(t *testing.T) {
 
 func TestSweepEmptySwarm(t *testing.T) {
 	sw := &Swarm{}
-	if got := sw.Sweep(); len(got) != 0 {
+	if got := new(Sweeper).Sweep(sw); len(got) != 0 {
 		t.Errorf("empty swarm swept to %d intervals", len(got))
 	}
 }
@@ -249,7 +249,7 @@ func TestSweepProperties(t *testing.T) {
 			userSeconds += int64(dur)
 		}
 		sw := &Swarm{Sessions: sessions}
-		intervals := sw.Sweep()
+		intervals := new(Sweeper).Sweep(sw)
 
 		var prevTo int64 = -1 << 62
 		var sweptSeconds int64

@@ -5,19 +5,16 @@ import (
 )
 
 // Sweeper computes swarm activity intervals from caller-owned scratch
-// buffers, so a loop over thousands of swarms — the batch simulator's
-// shape — reuses one set of buffers instead of allocating per swarm and
-// per interval. It produces exactly the intervals Sweep documents: the
-// same boundaries, the same ascending-index active sets, in the same
-// order, so the floating-point operation sequence of everything
-// downstream is unchanged.
+// buffers, so a loop over thousands of swarms — the reference
+// simulator's shape — reuses one set of buffers instead of allocating
+// per swarm and per interval.
 //
 // Ownership: the slice returned by Sweep, each Interval's Active slice,
 // and their shared backing arena are owned by the Sweeper and remain
 // valid only until the next Sweep call on the same Sweeper. Callers that
 // retain intervals past that point must copy them. The zero value is
 // ready to use; a Sweeper must not be used from multiple goroutines
-// concurrently (give each worker its own, as sim.RunParallel does).
+// concurrently.
 type Sweeper struct {
 	events    []sweepEvent
 	intervals []Interval
@@ -66,10 +63,10 @@ func cmpSweepEvent(a, b sweepEvent) int {
 }
 
 // Sweep produces the swarm's activity intervals in time order, reusing
-// the Sweeper's buffers. Intervals with no active sessions are omitted.
-// The result is bit-for-bit the sequence (*Swarm).Sweep returns, minus
-// the per-swarm and per-interval allocations; see the type comment for
-// the ownership rules.
+// the Sweeper's buffers. Intervals with no active sessions are omitted:
+// they contribute neither demand nor peer traffic. Each interval's
+// Active set indexes into sw.Sessions in ascending order; see the type
+// comment for the ownership rules.
 //
 //consumelocal:borrowed return
 func (sp *Sweeper) Sweep(sw *Swarm) []Interval {

@@ -7,18 +7,18 @@ import (
 )
 
 // sweepWorkloadSwarm wraps the shared synthetic session workload in a
-// Swarm, the batch engine's sweep input.
+// Swarm, the reference simulator's sweep input.
 func sweepWorkloadSwarm(n int) *Swarm {
 	return &Swarm{Key: Key{Content: 1}, Sessions: trackerWorkload(n)}
 }
 
-// TestSweeperMatchesSweep pins the Sweeper to the deprecated
-// (*Swarm).Sweep contract on a heavily overlapping workload: identical
-// interval boundaries and identical ascending active sets, and identical
-// output when the same Sweeper is reused across sweeps.
+// TestSweeperMatchesSweep pins a reused Sweeper to a fresh one on a
+// heavily overlapping workload: identical interval boundaries and
+// identical ascending active sets, round after round, so scratch reuse
+// never leaks state from one sweep into the next.
 func TestSweeperMatchesSweep(t *testing.T) {
 	sw := sweepWorkloadSwarm(256)
-	want := sw.Sweep()
+	want := new(Sweeper).Sweep(sw)
 
 	var sp Sweeper
 	for round := 0; round < 3; round++ {

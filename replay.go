@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"runtime"
 	"sync"
 	"time"
 
@@ -21,18 +20,8 @@ import (
 // LiveSource extension — directly.
 type Source = engine.Source
 
-// TraceSource adapts an in-memory trace into a Source. Batch and
-// parallel replays recognise it and reuse the trace directly instead of
-// re-collecting the sessions.
-func TraceSource(t *Trace) Source { return &memSource{Source: engine.TraceSource(t), tr: t} }
-
-// memSource remembers the backing trace so batch-mode replays skip the
-// collect step — which is what makes Simulate over Replay bit-for-bit
-// free of overhead.
-type memSource struct {
-	Source
-	tr *Trace
-}
+// TraceSource adapts an in-memory trace into a Source.
+func TraceSource(t *Trace) Source { return engine.TraceSource(t) }
 
 // CSVSource opens a streaming Source over a CSV trace: the out-of-core
 // entry point. Any reader works — a file, an HTTP body, a pipe.
@@ -45,59 +34,10 @@ func CSVSource(r io.Reader) (Source, error) { return trace.NewScanner(r) }
 // realisation than GenerateTrace with the same configuration.
 func GeneratorSource(cfg TraceConfig) (Source, error) { return trace.GeneratorSource(cfg) }
 
-// EngineMode selects which replay engine a Job runs on.
-type EngineMode int
-
-const (
-	// EngineStreaming (the default) replays out-of-core on the windowed
-	// streaming engine: bounded memory, live snapshots, full
-	// cancellation support.
-	EngineStreaming EngineMode = iota
-	// EngineBatch materialises the source and runs the serial batch
-	// simulator — the reference implementation. One final snapshot is
-	// emitted; cancellation is observed while collecting the source and
-	// between swarm sweeps, not inside one swarm's sweep.
-	EngineBatch
-	// EngineParallel is EngineBatch on a worker pool (swarms processed
-	// concurrently, merged deterministically).
-	EngineParallel
-)
-
-// ParseEngineMode inverts EngineMode.String: it resolves the mode names
-// accepted by the CLI's -engine flag and the daemon's engine query
-// parameter.
-func ParseEngineMode(s string) (EngineMode, error) {
-	switch s {
-	case "streaming":
-		return EngineStreaming, nil
-	case "batch":
-		return EngineBatch, nil
-	case "parallel":
-		return EngineParallel, nil
-	default:
-		return 0, fmt.Errorf("unknown engine mode %q (want streaming, batch or parallel)", s)
-	}
-}
-
-// String returns the mode's short name.
-func (m EngineMode) String() string {
-	switch m {
-	case EngineStreaming:
-		return "streaming"
-	case EngineBatch:
-		return "batch"
-	case EngineParallel:
-		return "parallel"
-	default:
-		return fmt.Sprintf("mode-%d", int(m))
-	}
-}
-
 // replayOptions collects the Option knobs; the zero value plus defaults
-// reproduces DefaultStreamConfig(1.0) on the streaming engine.
+// is the paper's configuration at q/β = 1 with hourly windows.
 type replayOptions struct {
 	cfg   engine.Config
-	mode  EngineMode
 	sinks []Sink
 	// stats is the optional instrumentation set WithInstrumentation
 	// attaches; the engine receives it through cfg.Stats as well.
@@ -109,7 +49,7 @@ type Option func(*replayOptions)
 
 // WithSimConfig replaces the simulation configuration (policy, swarm
 // formation, upload model, quantization, seeding, participation, user
-// tracking) shared by every engine mode.
+// tracking).
 func WithSimConfig(cfg SimConfig) Option {
 	return func(o *replayOptions) { o.cfg.Sim = cfg }
 }
@@ -120,26 +60,20 @@ func WithUploadRatio(r float64) Option {
 	return func(o *replayOptions) { o.cfg.Sim = sim.DefaultConfig(r) }
 }
 
-// WithEngine selects the engine mode. The default is EngineStreaming.
-func WithEngine(mode EngineMode) Option {
-	return func(o *replayOptions) { o.mode = mode }
-}
-
-// WithWorkers sets the worker count: shard workers for the streaming
-// engine, pool size for EngineParallel. Zero means the engine default.
+// WithWorkers sets the number of shard workers the session stream is
+// partitioned across by swarm key. Zero means GOMAXPROCS. Results are
+// bit-for-bit identical per swarm at any worker count.
 func WithWorkers(n int) Option {
 	return func(o *replayOptions) { o.cfg.Workers = n }
 }
 
-// WithWindow sets the reporting window in seconds for streaming replays
-// (default 3600). Batch replays emit a single final snapshot regardless.
+// WithWindow sets the reporting window in seconds (default 3600).
 func WithWindow(sec int64) Option {
 	return func(o *replayOptions) { o.cfg.WindowSec = sec }
 }
 
 // WithSnapshotBuffer bounds the Job's snapshot channel (default 4): a
-// consumer lagging further than this stalls a streaming pipeline by
-// design, propagating backpressure to the source.
+// consumer lagging further than this stalls the pipeline by design, propagating backpressure to the source.
 func WithSnapshotBuffer(n int) Option {
 	return func(o *replayOptions) { o.cfg.SnapshotBuffer = n }
 }
@@ -157,7 +91,7 @@ func WithSink(s Sink) Option {
 // Job is a replay in progress, started by Replay.
 //
 // Snapshots delivers windowed progress; consumers that fall behind by
-// more than the snapshot buffer stall a streaming pipeline by design
+// more than the snapshot buffer stall the pipeline by design
 // (backpressure). Consumers that only want the final outcome call
 // Result, which drains internally so attached Sinks still observe every
 // snapshot; a job that is neither drained nor cancelled stalls once the
@@ -165,7 +99,6 @@ func WithSink(s Sink) Option {
 // every pipeline goroutine regardless of consumer behaviour.
 type Job struct {
 	meta   TraceMeta
-	mode   EngineMode
 	cancel context.CancelFunc
 
 	snapshots chan StreamSnapshot
@@ -178,9 +111,6 @@ type Job struct {
 
 // Meta returns the metadata of the trace being replayed.
 func (j *Job) Meta() TraceMeta { return j.meta }
-
-// Mode returns the engine mode the job runs on.
-func (j *Job) Mode() EngineMode { return j.mode }
 
 // Snapshots returns the windowed progress channel. It is closed after
 // the final snapshot — or early, when the job is cancelled or fails.
@@ -247,14 +177,12 @@ func (j *Job) finish(sinks []Sink, res *SimResult, err error) {
 
 // Replay starts one replay of src under ctx and returns the running Job.
 //
-// Replay is the single entry point every other replay API is a veneer
-// over: the engine mode (streaming by default; batch and parallel for
-// the in-memory reference paths), the reporting window, worker count and
-// attached sinks are all Options, and the three modes produce per-swarm
-// results bit-for-bit identical to one another and to the deprecated
-// Simulate/SimulateParallel/Stream entry points. Configuration and
-// metadata are validated synchronously; a ctx already cancelled returns
-// ctx.Err() immediately.
+// Replay is the library's single replay entry point: every session
+// flows through the windowed streaming engine, and the reporting window,
+// worker count and attached sinks are Options. Per-swarm results and the
+// total are bit-for-bit identical to the serial reference simulator at
+// any worker count. Configuration and metadata are validated
+// synchronously; a ctx already cancelled returns ctx.Err() immediately.
 func Replay(ctx context.Context, src Source, opts ...Option) (*Job, error) {
 	o := &replayOptions{cfg: engine.DefaultConfig(1.0)}
 	for _, opt := range opts {
@@ -263,58 +191,35 @@ func Replay(ctx context.Context, src Source, opts ...Option) (*Job, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	// Fill defaulted sim fields before validating, the way every engine
-	// does internally, so a sparse custom SimConfig is accepted here too.
-	o.cfg.Sim = o.cfg.Sim.WithDefaults()
-	if err := o.cfg.Sim.Validate(); err != nil {
+	if o.stats != nil {
+		src = instrumentSource(src, o.stats)
+	}
+	ctx, cancel := context.WithCancel(ctx)
+	run, err := engine.StreamContext(ctx, src, o.cfg)
+	if err != nil {
+		cancel()
 		return nil, err
 	}
-	meta := src.Meta()
-	if err := meta.Validate(); err != nil {
-		return nil, fmt.Errorf("replay: %w", err)
-	}
-
-	ctx, cancel := context.WithCancel(ctx)
 	buffer := o.cfg.SnapshotBuffer
 	if buffer <= 0 {
 		buffer = 4
 	}
 	j := &Job{
-		meta:      meta,
-		mode:      o.mode,
+		meta:      run.Meta(),
 		cancel:    cancel,
 		snapshots: make(chan StreamSnapshot, buffer),
 		done:      make(chan struct{}),
 	}
-
-	switch o.mode {
-	case EngineStreaming:
-		if o.stats != nil {
-			// Wrap after Meta was captured: the wrapper forwards Meta, and
-			// the engine re-reads it through the wrapper harmlessly.
-			src = instrumentSource(src, o.stats)
-		}
-		run, err := engine.StreamContext(ctx, src, o.cfg)
-		if err != nil {
-			cancel()
-			return nil, err
-		}
-		go j.pumpStream(ctx, run, o.sinks, o.stats)
-	case EngineBatch, EngineParallel:
-		go j.runBatch(ctx, src, o)
-	default:
-		cancel()
-		return nil, fmt.Errorf("replay: unknown engine mode %d", int(o.mode))
-	}
+	go j.pump(ctx, run, o.sinks, o.stats)
 	return j, nil
 }
 
-// pumpStream relays engine snapshots to the sinks and the Job channel,
+// pump relays engine snapshots to the sinks and the Job channel,
 // then settles the outcome. It always drains the engine run, so the
 // pipeline can never stall on the Job consumer alone — only deliberate
 // backpressure (forwarding to an undrained channel under a live context)
 // blocks, and cancellation breaks exactly that wait.
-func (j *Job) pumpStream(ctx context.Context, run *engine.Run, sinks []Sink, stats *obs.ReplayMetrics) {
+func (j *Job) pump(ctx context.Context, run *engine.Run, sinks []Sink, stats *obs.ReplayMetrics) {
 	defer close(j.done)
 	defer close(j.snapshots)
 
@@ -358,121 +263,4 @@ func (j *Job) pumpStream(ctx context.Context, run *engine.Run, sinks []Sink, sta
 		res, err = nil, sinkErr
 	}
 	j.finish(sinks, res, err)
-}
-
-// runBatch materialises the source and runs the in-memory simulator —
-// serial or parallel — emitting one final snapshot so sinks and channel
-// consumers see a uniform shape across modes.
-func (j *Job) runBatch(ctx context.Context, src Source, o *replayOptions) {
-	defer close(j.done)
-	defer close(j.snapshots)
-
-	// The batch path times its stages wholesale instead of wrapping the
-	// source: materialise is the read stage, the simulator run is the
-	// settle stage, and the single snapshot fan-out below is the emit
-	// stage. Keeping the source unwrapped preserves TraceSource's
-	// in-memory shortcut.
-	readStart := time.Now()
-	tr, err := materialize(ctx, src, j.meta)
-	if o.stats != nil {
-		o.stats.SourceReadSeconds.Add(time.Since(readStart).Seconds())
-	}
-	if err != nil {
-		j.finish(o.sinks, nil, err)
-		return
-	}
-	if o.stats != nil {
-		o.stats.SourceSessions.Add(float64(len(tr.Sessions)))
-	}
-	settleStart := time.Now()
-	var res *SimResult
-	if o.mode == EngineParallel {
-		// Zero means the engine default, as WithWorkers documents (and
-		// as the streaming engine resolves it); per-swarm results are
-		// identical at any worker count, so defaulting is safe.
-		workers := o.cfg.Workers
-		if workers <= 0 {
-			workers = runtime.GOMAXPROCS(0)
-		}
-		res, err = sim.RunParallelContext(ctx, tr, o.cfg.Sim, workers)
-	} else {
-		res, err = sim.RunContext(ctx, tr, o.cfg.Sim)
-	}
-	if o.stats != nil {
-		o.stats.SettleSeconds.Add(time.Since(settleStart).Seconds())
-	}
-	if err == nil && ctx.Err() != nil {
-		res, err = nil, ctx.Err()
-	}
-	if err != nil {
-		j.finish(o.sinks, nil, err)
-		return
-	}
-
-	snap := StreamSnapshot{
-		FromSec:      0,
-		ToSec:        j.meta.HorizonSec,
-		SessionsSeen: int64(len(tr.Sessions)),
-		Swarms:       len(res.Swarms),
-		Delta:        res.Total,
-		Cumulative:   res.Total,
-		Final:        true,
-	}
-	emitStart := time.Now()
-	var sinkErr error
-	for _, s := range o.sinks {
-		if err := s.Snapshot(snap); err != nil && sinkErr == nil {
-			sinkErr = fmt.Errorf("replay: sink: %w", err)
-		}
-	}
-	if sinkErr != nil {
-		j.finish(o.sinks, nil, sinkErr)
-		return
-	}
-	// The snapshot buffer is at least one deep, so this send never
-	// blocks on an absent consumer.
-	select {
-	case j.snapshots <- snap:
-	case <-ctx.Done():
-	}
-	if o.stats != nil {
-		o.stats.SinkEmitSeconds.Add(time.Since(emitStart).Seconds())
-		o.stats.WindowsSettled.Inc()
-	}
-	j.finish(o.sinks, res, nil)
-}
-
-// materialize collects a Source into an in-memory trace for the batch
-// engines, checking ctx between sessions. A TraceSource short-circuits
-// to its backing trace.
-func materialize(ctx context.Context, src Source, meta TraceMeta) (*Trace, error) {
-	if ms, ok := src.(*memSource); ok {
-		return ms.tr, nil
-	}
-	tr := &Trace{
-		Name:       meta.Name,
-		Epoch:      meta.Epoch,
-		HorizonSec: meta.HorizonSec,
-		NumUsers:   meta.NumUsers,
-		NumContent: meta.NumContent,
-		NumISPs:    meta.NumISPs,
-	}
-	for {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		s, err := src.Next()
-		if err == io.EOF {
-			return tr, nil
-		}
-		if err != nil {
-			// As in the streaming engine: a cancellation that surfaces as
-			// a source read error is reported as the cancellation.
-			if cerr := ctx.Err(); cerr != nil {
-				return nil, cerr
-			}
-			return nil, fmt.Errorf("replay: read source: %w", err)
-		}
-		tr.Sessions = append(tr.Sessions, s)
-	}
 }

@@ -1,8 +1,8 @@
-// Benchmarks of the unified Replay API: the same 14-day workload driven
-// through the batch, parallel and streaming engines, with and without an
-// attached metrics sink, so the perf trajectory captures API-layer
-// overhead (job plumbing, snapshot fan-out, sink dispatch) separately
-// from the engines themselves (BenchmarkSimulatorMonth, BenchmarkStream).
+// Benchmarks of the Replay API: one 14-day workload replayed with and
+// without an attached metrics sink, so API-layer overhead (job
+// plumbing, snapshot fan-out, sink dispatch) shows separately from the
+// engine itself (BenchmarkStream) and the serial reference simulator
+// (BenchmarkSimulatorMonth).
 package consumelocal_test
 
 import (
@@ -53,22 +53,12 @@ func benchmarkReplay(b *testing.B, tr *consumelocal.Trace, opts ...consumelocal.
 	b.ReportMetric(float64(len(tr.Sessions)*b.N)/elapsed.Seconds(), "sessions/s")
 }
 
-func BenchmarkReplayBatch(b *testing.B) {
-	benchmarkReplay(b, benchReplayTrace(b), consumelocal.WithEngine(consumelocal.EngineBatch))
-}
-
-func BenchmarkReplayParallel(b *testing.B) {
-	benchmarkReplay(b, benchReplayTrace(b), consumelocal.WithEngine(consumelocal.EngineParallel))
-}
-
 func BenchmarkReplayStreaming(b *testing.B) {
-	benchmarkReplay(b, benchReplayTrace(b), consumelocal.WithEngine(consumelocal.EngineStreaming))
+	benchmarkReplay(b, benchReplayTrace(b))
 }
 
 func BenchmarkReplayStreamingMetricsSink(b *testing.B) {
-	benchmarkReplay(b, benchReplayTrace(b),
-		consumelocal.WithEngine(consumelocal.EngineStreaming),
-		consumelocal.WithSink(consumelocal.NewMetricsSink()))
+	benchmarkReplay(b, benchReplayTrace(b), consumelocal.WithSink(consumelocal.NewMetricsSink()))
 }
 
 // BenchmarkReplayGeneratorSource streams the synthetic generator live

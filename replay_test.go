@@ -6,6 +6,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"io"
 	"runtime"
 	"strings"
@@ -13,6 +14,7 @@ import (
 	"time"
 
 	"consumelocal"
+	"consumelocal/internal/sim"
 )
 
 func replayTestTrace(t testing.TB) *consumelocal.Trace {
@@ -27,7 +29,7 @@ func replayTestTrace(t testing.TB) *consumelocal.Trace {
 }
 
 // assertSwarmsIdentical checks per-swarm statistics for exact equality —
-// the bit-for-bit guarantee the unified API inherits from the engines.
+// the bit-for-bit guarantee Replay inherits from the engine.
 func assertSwarmsIdentical(t *testing.T, label string, got, want *consumelocal.SimResult) {
 	t.Helper()
 	if len(got.Swarms) != len(want.Swarms) {
@@ -40,63 +42,31 @@ func assertSwarmsIdentical(t *testing.T, label string, got, want *consumelocal.S
 	}
 }
 
-// TestReplayModesMatchLegacyEntryPoints is the API-redesign cross-check:
-// every engine mode reached through Replay must reproduce its legacy
-// entry point bit for bit, per swarm and in total.
-func TestReplayModesMatchLegacyEntryPoints(t *testing.T) {
+// TestReplayMatchesSimRun: Replay must reproduce the serial reference
+// simulator bit for bit, per swarm and in total, at any worker count.
+func TestReplayMatchesSimRun(t *testing.T) {
 	tr := replayTestTrace(t)
 	simCfg := consumelocal.DefaultSimConfig(1.0)
-
-	legacyBatch, err := consumelocal.Simulate(tr, simCfg)
+	want, err := sim.Run(tr, simCfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	legacyParallel, err := consumelocal.SimulateParallel(tr, simCfg, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	legacyStreamRun, err := consumelocal.StreamTrace(tr, consumelocal.StreamConfig{Sim: simCfg, Workers: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	legacyStream, err := legacyStreamRun.Result()
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	replayWith := func(opts ...consumelocal.Option) *consumelocal.SimResult {
-		t.Helper()
+	for _, workers := range []int{1, 3} {
 		job, err := consumelocal.Replay(context.Background(), consumelocal.TraceSource(tr),
-			append([]consumelocal.Option{consumelocal.WithSimConfig(simCfg)}, opts...)...)
+			consumelocal.WithSimConfig(simCfg), consumelocal.WithWorkers(workers))
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := job.Result()
+		got, err := job.Result()
 		if err != nil {
 			t.Fatal(err)
 		}
-		return res
+		label := fmt.Sprintf("%d workers", workers)
+		assertSwarmsIdentical(t, label, got, want)
+		if got.Total != want.Total {
+			t.Fatalf("%s: total %+v != sim.Run %+v", label, got.Total, want.Total)
+		}
 	}
-
-	batch := replayWith(consumelocal.WithEngine(consumelocal.EngineBatch))
-	parallel := replayWith(consumelocal.WithEngine(consumelocal.EngineParallel), consumelocal.WithWorkers(3))
-	stream := replayWith(consumelocal.WithEngine(consumelocal.EngineStreaming), consumelocal.WithWorkers(3))
-
-	assertSwarmsIdentical(t, "batch", batch, legacyBatch)
-	assertSwarmsIdentical(t, "parallel", parallel, legacyParallel)
-	assertSwarmsIdentical(t, "streaming", stream, legacyStream)
-	if batch.Total != legacyBatch.Total {
-		t.Fatalf("batch total %+v != legacy %+v", batch.Total, legacyBatch.Total)
-	}
-	if parallel.Total != legacyParallel.Total {
-		t.Fatalf("parallel total %+v != legacy %+v", parallel.Total, legacyParallel.Total)
-	}
-	if stream.Total != legacyStream.Total {
-		t.Fatalf("streaming total %+v != legacy %+v", stream.Total, legacyStream.Total)
-	}
-	// And the three modes agree with one another per swarm.
-	assertSwarmsIdentical(t, "parallel vs batch", parallel, batch)
-	assertSwarmsIdentical(t, "streaming vs batch", stream, batch)
 }
 
 // TestReplayCSVSourceMatchesTraceSource replays the CSV form of the same
@@ -119,11 +89,14 @@ func TestReplayCSVSourceMatchesTraceSource(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := consumelocal.Simulate(tr, consumelocal.DefaultSimConfig(1.0))
+	want, err := sim.Run(tr, consumelocal.DefaultSimConfig(1.0))
 	if err != nil {
 		t.Fatal(err)
 	}
 	assertSwarmsIdentical(t, "csv", got, want)
+	if got.Total != want.Total {
+		t.Fatalf("csv: total %+v != sim.Run %+v", got.Total, want.Total)
+	}
 }
 
 func TestReplayPreCancelledContext(t *testing.T) {
@@ -353,32 +326,6 @@ func TestReplaySinkErrorAbortsJob(t *testing.T) {
 	}
 }
 
-func TestReplayBatchEmitsFinalSnapshot(t *testing.T) {
-	tr := replayTestTrace(t)
-	job, err := consumelocal.Replay(context.Background(), consumelocal.TraceSource(tr),
-		consumelocal.WithEngine(consumelocal.EngineBatch))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var snaps []consumelocal.StreamSnapshot
-	for snap := range job.Snapshots() {
-		snaps = append(snaps, snap)
-	}
-	res, err := job.Result()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(snaps) != 1 || !snaps[0].Final {
-		t.Fatalf("batch mode emitted %d snapshots (final=%v), want exactly one final", len(snaps), len(snaps) > 0 && snaps[0].Final)
-	}
-	if snaps[0].Cumulative != res.Total {
-		t.Fatalf("final snapshot tally %+v != result total %+v", snaps[0].Cumulative, res.Total)
-	}
-	if snaps[0].SessionsSeen != int64(len(tr.Sessions)) {
-		t.Fatalf("final snapshot saw %d sessions, want %d", snaps[0].SessionsSeen, len(tr.Sessions))
-	}
-}
-
 func TestReplayRejectsInvalidInput(t *testing.T) {
 	tr := replayTestTrace(t)
 	// Invalid sim configuration.
@@ -391,25 +338,6 @@ func TestReplayRejectsInvalidInput(t *testing.T) {
 	empty := &consumelocal.Trace{}
 	if _, err := consumelocal.Replay(context.Background(), consumelocal.TraceSource(empty)); err == nil {
 		t.Fatal("expected metadata validation error")
-	}
-	// Unknown engine mode.
-	if _, err := consumelocal.Replay(context.Background(), consumelocal.TraceSource(tr),
-		consumelocal.WithEngine(consumelocal.EngineMode(99))); err == nil {
-		t.Fatal("expected unknown mode error")
-	}
-}
-
-// TestReplayModeString pins the mode names used in logs and job views.
-func TestReplayModeString(t *testing.T) {
-	for mode, want := range map[consumelocal.EngineMode]string{
-		consumelocal.EngineStreaming: "streaming",
-		consumelocal.EngineBatch:     "batch",
-		consumelocal.EngineParallel:  "parallel",
-		consumelocal.EngineMode(7):   "mode-7",
-	} {
-		if got := mode.String(); got != want {
-			t.Errorf("EngineMode(%d).String() = %q, want %q", int(mode), got, want)
-		}
 	}
 }
 
@@ -430,24 +358,6 @@ func TestReplaySourceErrorPropagates(t *testing.T) {
 	}
 	if _, err := job.Result(); err == nil || errors.Is(err, io.EOF) {
 		t.Fatalf("Result = %v, want stream validation error", err)
-	}
-}
-
-func TestParseEngineMode(t *testing.T) {
-	modes := []consumelocal.EngineMode{
-		consumelocal.EngineStreaming, consumelocal.EngineBatch, consumelocal.EngineParallel,
-	}
-	for _, want := range modes {
-		got, err := consumelocal.ParseEngineMode(want.String())
-		if err != nil {
-			t.Fatalf("ParseEngineMode(%q): %v", want.String(), err)
-		}
-		if got != want {
-			t.Fatalf("ParseEngineMode(%q) = %v, want %v", want.String(), got, want)
-		}
-	}
-	if _, err := consumelocal.ParseEngineMode("quantum"); err == nil {
-		t.Fatal("ParseEngineMode accepted an unknown mode")
 	}
 }
 
