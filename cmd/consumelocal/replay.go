@@ -164,9 +164,6 @@ func runReplay(args []string, out io.Writer) error {
 	if *stats {
 		stages = obs.NewReplayMetrics(consumelocal.NewMetrics())
 		opts = append(opts, consumelocal.WithReplayMetrics(stages))
-		if ing != nil {
-			ing.Instrument(stages.Ingest)
-		}
 	}
 
 	job, err := consumelocal.Replay(context.Background(), src, opts...)

@@ -16,26 +16,18 @@ import (
 	"consumelocal/internal/trace"
 )
 
-// storedResult is the result-store document of one finished job:
-// everything GET /v1/jobs/{id}, /energy and /carbon serve, so a
-// restarted daemon re-serves the job byte-for-byte without re-running
-// the replay. Floats survive the JSON round trip exactly (encoding/json
-// emits shortest-round-trip representations), which is what makes
-// "byte-identical after restart" achievable rather than approximate.
-// Documents written by older daemons also carry a "mode" field, which
-// decoding ignores.
+// storedResult is the result-store document of one finished job: the
+// exact view GET /v1/jobs/{id} served plus the result /energy and
+// /carbon price, so a restarted daemon re-serves the job byte-for-byte
+// without re-running the replay. Floats survive the JSON round trip
+// exactly (encoding/json emits shortest-round-trip representations),
+// which is what makes "byte-identical after restart" achievable rather
+// than approximate. Documents written by older daemons lack the view's
+// status and error and also carry a "mode" field, which decoding
+// ignores.
 type storedResult struct {
-	ID        int             `json:"id"`
-	Name      string          `json:"name"`
-	Kind      string          `json:"kind"`
-	Started   time.Time       `json:"started"`
-	Meta      trace.Meta      `json:"meta"`
-	Snapshots int             `json:"snapshots"`
-	Snapshot  engine.Snapshot `json:"snapshot"`
-	Ingest    bool            `json:"ingest,omitempty"`
-	Pushed    int64           `json:"pushed,omitempty"`
-	Watermark int64           `json:"watermark_sec,omitempty"`
-	Result    *sim.Result     `json:"result"`
+	jobView
+	Result *sim.Result `json:"result"`
 }
 
 // errInterrupted is the deterministic terminal error of jobs the
@@ -61,11 +53,12 @@ type recoveryInfo struct {
 
 // openDurability attaches the journal and result store under dataDir
 // and replays the journal into the registry: finished jobs come back
-// with their stored results, jobs that were running when the daemon
-// died are deterministically failed, the monotonic ingest counters are
-// restored, and the journal is compacted down to a checkpoint plus the
-// retained jobs' terminal records. Must run before the listener binds:
-// once the daemon serves requests, recovery is complete.
+// with their stored results, in-flight ingest streams resume, other
+// jobs that were running when the daemon died are deterministically
+// failed, and the monotonic ingest counters are restored. The journal
+// is then compacted with the same plan online compaction uses. Must run
+// before the listener binds: once the daemon serves requests, recovery
+// is complete.
 func (s *server) openDurability(dataDir string) error {
 	t0 := time.Now()
 	jl, rec, err := joblog.Open(dataDir)
@@ -95,66 +88,35 @@ func (s *server) openDurability(dataDir string) error {
 
 	// The retention cap applies across restarts too: only the newest
 	// maxRetainedJobs journalled jobs come back; older ones are dropped
-	// with their stored results.
-	states := rec.Jobs
-	keepFrom := 0
-	if len(states) > maxRetainedJobs {
-		keepFrom = len(states) - maxRetainedJobs
+	// with their stored results, and compaction forgets them.
+	if n := len(rec.Jobs) - maxRetainedJobs; n > 0 {
+		for _, st := range rec.Jobs[:n] {
+			info.Dropped++
+			s.met.recoveryJobs.With1("dropped").Inc()
+			_ = store.Delete(st.ID)
+		}
+		rec.Jobs = rec.Jobs[n:]
 	}
-	for _, st := range states[:keepFrom] {
-		info.Dropped++
-		s.met.recoveryJobs.With1("dropped").Inc()
-		_ = store.Delete(st.ID)
+	tally := map[string]*int{
+		"restored": &info.Restored, "resumed": &info.Resumed, "resume_failed": &info.ResumeFailed,
+		"interrupted": &info.Interrupted, "carried": &info.Carried, "dropped": &info.Dropped,
 	}
-	resumed := make(map[int]bool)
-	for _, st := range states[keepFrom:] {
+	for _, st := range rec.Jobs {
 		j, outcome := s.recoverJob(st)
 		s.jobs[j.id] = j
-		switch outcome {
-		case "restored":
-			info.Restored++
-		case "resumed":
-			info.Resumed++
-			resumed[j.id] = true
-		case "resume_failed":
-			info.ResumeFailed++
-		case "interrupted":
-			info.Interrupted++
-		case "carried":
-			info.Carried++
-		default:
-			info.Dropped++
-		}
+		*tally[outcome]++
 		s.met.recoveryJobs.With1(outcome).Inc()
 	}
 	if rec.MaxID >= s.nextID {
 		s.nextID = rec.MaxID + 1
 	}
 
-	// Compact: the journal shrinks to one checkpoint (carrying the
-	// aggregate totals forward) plus a created+finished pair per settled
-	// job — and, for a resumed job, its journalled created record and
-	// full batch tail, so the stream stays resumable across the next
-	// crash too. Tail sessions are subtracted from the checkpoint (they
-	// re-count when the tail replays), keeping the totals exact.
-	recs := make([]joblog.Record, 0, 1+2*len(s.jobs))
-	recs = append(recs, joblog.Record{Type: joblog.TypeCheckpoint, Sessions: rec.Sessions, Batches: rec.Batches})
-	for _, st := range states[keepFrom:] {
-		j := s.jobs[st.ID]
-		if resumed[st.ID] {
-			recs = append(recs, *st.Created)
-			for _, t := range st.Tail {
-				if t.Type == joblog.TypeBatch {
-					recs[0].Sessions -= t.Sessions
-					recs[0].Batches--
-				}
-				recs = append(recs, t)
-			}
-			continue
-		}
-		recs = append(recs, s.createdRecord(j), s.finishedRecord(j))
-	}
-	if err := jl.Rewrite(recs); err != nil {
+	// recoverJob folded every settled outcome back into its state, so
+	// the online plan journals exactly what the registry now serves: a
+	// checkpoint, a created+finished pair per settled job, and a resumed
+	// stream's created record plus its full batch tail, so it stays
+	// resumable across the next crash too.
+	if err := jl.Rewrite(joblog.CompactionPlan(rec)); err != nil {
 		return fmt.Errorf("compact journal: %w", err)
 	}
 	s.compactFloor.Store(jl.Size())
@@ -164,81 +126,77 @@ func (s *server) openDurability(dataDir string) error {
 	return nil
 }
 
-// recoverJob rebuilds one registry entry from its journal state. The
-// returned outcome labels the recovery_jobs_total metric: "restored"
-// (done, result re-served), "interrupted" (was running, now failed),
-// "carried" (already failed/cancelled, status re-served) or "dropped"
-// (journal says done but the result store has no document).
+// recoverJob rebuilds one registry entry from its journal state and
+// folds recovery's decision back into st: every job it settles gets
+// its terminal status, error and snapshot count there, with the batch
+// tail cleared. The returned outcome labels the recovery_jobs_total
+// metric: "restored" (done, result re-served), "resumed" (an ingest
+// stream rebuilt live), "resume_failed" or "interrupted" (was running,
+// now failed), "carried" (already failed/cancelled, status re-served)
+// or "dropped" (journal says done but the result store has no
+// document).
 func (s *server) recoverJob(st *joblog.JobState) (*job, string) {
-	j := &job{
-		id:        st.ID,
-		name:      st.Name,
-		kind:      st.Kind,
-		srv:       s,
-		started:   st.Started,
-		meta:      st.Meta,
-		recovered: true,
-		changed:   make(chan struct{}),
-	}
-	setIngestView := func(pushed, watermark int64) {
-		if j.kind == "ingest" {
-			j.recIngest, j.recPushed, j.recWatermark = true, pushed, watermark
-		}
-	}
+	var sr storedResult
+	outcome := "carried"
 	switch st.Status {
 	case "done":
-		var sr storedResult
 		ok, err := s.store.Get(st.ID, &sr)
-		if !ok || err != nil {
-			j.status = "failed"
-			j.errMsg = "result lost: the journal records this job done but the result store has no document"
-			setIngestView(st.Sessions, st.Watermark)
-			s.logger.Warn("recovery: stored result missing",
-				slog.Int("job", st.ID), slog.Any("err", err))
-			return j, "dropped"
+		if ok && err == nil {
+			outcome = "restored"
+			break
 		}
-		j.status = "done"
-		j.result = sr.Result
-		if sr.Snapshots > 0 {
-			j.snaps = []engine.Snapshot{sr.Snapshot}
-			j.snapsStart = sr.Snapshots - 1
-		}
-		// Trust the stored document for identity too: it captured the
-		// exact view the daemon served before the crash.
-		j.name, j.kind, j.meta, j.started = sr.Name, sr.Kind, sr.Meta, sr.Started
-		if sr.Ingest {
-			j.recIngest, j.recPushed, j.recWatermark = true, sr.Pushed, sr.Watermark
-		}
-		return j, "restored"
+		s.logger.Warn("recovery: stored result missing",
+			slog.Int("job", st.ID), slog.Any("err", err))
+		st.Status, st.Snapshots = "failed", 0
+		st.Error = "result lost: the journal records this job done but the result store has no document"
+		outcome = "dropped"
 	case "failed", "cancelled":
-		j.status = st.Status
-		j.errMsg = st.Error
-		j.snapsStart = st.Snapshots
-		setIngestView(st.Sessions, st.Watermark)
-		return j, "carried"
 	default:
 		// No terminal record: the daemon died while this job ran. An
 		// ingest job whose journal carries its creation query and full
 		// batch payloads is rebuilt live — re-fed deterministically from
 		// the journal, the producer none the wiser. Anything else (or a
-		// resume that fails) is failed loudly, as before.
-		if j.kind == "ingest" && st.Created != nil && st.Created.Query != "" {
-			live, err := s.resumeJob(st)
+		// resume that fails) is failed loudly.
+		outcome = "interrupted"
+		if st.Kind == "ingest" && st.Created != nil && st.Created.Query != "" {
+			j, err := s.resumeJob(st)
 			if err == nil {
-				return live, "resumed"
+				return j, "resumed"
 			}
 			s.logger.Warn("recovery: resume failed; job falls back to interrupted",
 				slog.Int("job", st.ID), slog.String("err", err.Error()))
-			j.status = "failed"
-			j.errMsg = errInterrupted
-			setIngestView(st.Sessions, st.Watermark)
-			return j, "resume_failed"
+			outcome = "resume_failed"
 		}
-		j.status = "failed"
-		j.errMsg = errInterrupted
-		setIngestView(st.Sessions, st.Watermark)
-		return j, "interrupted"
+		st.Status, st.Error = "failed", errInterrupted
 	}
+	st.Tail = nil
+	j := &job{
+		id:         st.ID,
+		name:       st.Name,
+		kind:       st.Kind,
+		srv:        s,
+		started:    st.Started,
+		meta:       st.Meta,
+		status:     st.Status,
+		errMsg:     st.Error,
+		snapsStart: st.Snapshots,
+		pushed:     st.Sessions,
+		watermark:  st.Watermark,
+		changed:    make(chan struct{}),
+	}
+	if outcome == "restored" {
+		// Trust the stored document: it captured the exact view the
+		// daemon served before the crash.
+		j.name, j.kind, j.meta, j.started = sr.Name, sr.Kind, sr.Meta, sr.Started
+		j.pushed, j.watermark = sr.Pushed, sr.Watermark
+		j.result = sr.Result
+		j.snapsStart = 0
+		if sr.Snapshots > 0 {
+			j.snaps = []engine.Snapshot{sr.Snapshot}
+			j.snapsStart = sr.Snapshots - 1
+		}
+	}
+	return j, outcome
 }
 
 // resumeJob rebuilds a live ingest job from its journal state: the
@@ -255,15 +213,7 @@ func (s *server) resumeJob(st *joblog.JobState) (*job, error) {
 	if err != nil {
 		return nil, fmt.Errorf("journalled query: %w", err)
 	}
-	sp, err := parseSpecQuery(q)
-	if err != nil {
-		return nil, fmt.Errorf("journalled query: %w", err)
-	}
-	capacity, err := parseIngestCapacity(q)
-	if err != nil {
-		return nil, fmt.Errorf("journalled query: %w", err)
-	}
-	wall, err := parseWallWatermark(q)
+	sp, err := parseSpec(q)
 	if err != nil {
 		return nil, fmt.Errorf("journalled query: %w", err)
 	}
@@ -274,29 +224,16 @@ func (s *server) resumeJob(st *joblog.JobState) (*job, error) {
 			return nil, fmt.Errorf("journal batch records carry no session payload (pre-resume journal format)")
 		}
 	}
-
-	ing, err := consumelocal.NewIngestSource(st.Meta, capacity)
+	ing, startWall, cleanup, err := openIngest(q, st.Meta)
+	if err != nil {
+		return nil, fmt.Errorf("journalled query: %w", err)
+	}
+	sp.kind, sp.rawQuery = st.Kind, st.Created.Query
+	j, err := s.launch(context.Background(), sp, ing, cleanup)
 	if err != nil {
 		return nil, err
 	}
-	opts := append(sp.options(), consumelocal.WithReplayMetrics(s.met.replay))
-	rep, err := consumelocal.Replay(context.Background(), ing, opts...)
-	if err != nil {
-		return nil, err
-	}
-	j := &job{
-		id:       st.ID,
-		name:     st.Name,
-		kind:     st.Kind,
-		srv:      s,
-		started:  st.Started,
-		meta:     st.Meta,
-		replay:   rep,
-		ingest:   ing,
-		status:   "running",
-		changed:  make(chan struct{}),
-		rawQuery: st.Created.Query,
-	}
+	j.id, j.name, j.started = st.ID, st.Name, st.Started
 	// The re-feed pushes through the bounded queue, and the engine stops
 	// reading it once its snapshot buffers fill: record the windows the
 	// tail settles into the job's history meanwhile, or a long tail
@@ -307,7 +244,7 @@ func (s *server) resumeJob(st *joblog.JobState) (*job, error) {
 		defer close(drained)
 		for {
 			select {
-			case snap, ok := <-rep.Snapshots():
+			case snap, ok := <-j.replay.Snapshots():
 				if !ok {
 					return
 				}
@@ -323,25 +260,16 @@ func (s *server) resumeJob(st *joblog.JobState) (*job, error) {
 	if err != nil {
 		// Unwind the half-built pipeline: abort the queue, cancel the
 		// run, and drain it in the background so its goroutines exit.
-		ing.Abort(errIngestJobOver)
-		rep.Cancel()
-		go func() { _, _ = rep.Result() }()
+		cleanup()
+		j.replay.Cancel()
+		go func() { _, _ = j.replay.Result() }()
 		return nil, err
 	}
 
 	// The wall clock restarts only after the re-feed: Advance is
 	// monotonic and the ticker skips targets at or below the restored
 	// watermark, so a restart never regresses it.
-	stopWall := func() {}
-	if wall.enabled {
-		wallCtx, cancel := context.WithCancel(context.Background())
-		stopWall = cancel
-		go wallWatermark(wallCtx, ing, st.Meta.HorizonSec, wall.interval, wall.rate)
-	}
-	j.cleanup = func() {
-		stopWall()
-		ing.Abort(errIngestJobOver)
-	}
+	startWall()
 	s.armWatchdog(j)
 	go j.pump()
 	return j, nil
@@ -399,28 +327,6 @@ func (s *server) createdRecord(j *job) joblog.Record {
 		Meta:    &meta,
 		Query:   j.rawQuery,
 	}
-}
-
-// finishedRecord renders a job's terminal record from its settled
-// registry state (callers ensure the job is settled).
-func (s *server) finishedRecord(j *job) joblog.Record {
-	j.mu.Lock()
-	rec := joblog.Record{
-		Type:      joblog.TypeFinished,
-		Job:       j.id,
-		Status:    j.status,
-		Error:     j.errMsg,
-		Snapshots: j.snapsStart + len(j.snaps),
-	}
-	j.mu.Unlock()
-	if j.ingest != nil {
-		rec.Sessions = j.ingest.Pushed()
-		rec.WatermarkSec = j.ingest.Watermark()
-	} else if j.recIngest {
-		rec.Sessions = j.recPushed
-		rec.WatermarkSec = j.recWatermark
-	}
-	return rec
 }
 
 // journalAppend commits one record, degrading loudly on failure: an
@@ -545,7 +451,7 @@ func (s *server) dropStored(ids []int) {
 }
 
 // persistFinished is pump's terminal hook under a data dir: store a
-// done job's full result document first, then journal the terminal
+// done job's view and full result first, then journal the terminal
 // record — in that order, so a journal that says "done" always has a
 // result behind it. A failed store write downgrades the journalled
 // status: the job stays "done" in memory for this process's lifetime,
@@ -553,35 +459,14 @@ func (s *server) dropStored(ids []int) {
 // not have.
 func (j *job) persistFinished() {
 	s := j.srv
-	if s.jl == nil || j.recovered {
+	if s.jl == nil {
 		return
 	}
-	j.mu.Lock()
-	status := j.status
-	var snap engine.Snapshot
-	if n := len(j.snaps); n > 0 {
-		snap = j.snaps[n-1]
-	}
-	total := j.snapsStart + len(j.snaps)
-	res := j.result
-	j.mu.Unlock()
-
-	if status == "done" {
-		sr := storedResult{
-			ID:        j.id,
-			Name:      j.name,
-			Kind:      j.kind,
-			Started:   j.started,
-			Meta:      j.meta,
-			Snapshots: total,
-			Snapshot:  snap,
-			Result:    res,
-		}
-		if j.ingest != nil {
-			sr.Ingest = true
-			sr.Pushed = j.ingest.Pushed()
-			sr.Watermark = j.ingest.Watermark()
-		}
+	v := j.view()
+	if v.Status == "done" {
+		j.mu.Lock()
+		sr := storedResult{jobView: v, Result: j.result}
+		j.mu.Unlock()
 		if err := s.store.Put(j.id, &sr); err != nil {
 			s.met.journalErrors.Inc()
 			s.logger.Error("result store write failed",
@@ -589,7 +474,15 @@ func (j *job) persistFinished() {
 			return
 		}
 	}
-	s.journalAppend(s.finishedRecord(j))
+	s.journalAppend(joblog.Record{
+		Type:         joblog.TypeFinished,
+		Job:          j.id,
+		Status:       v.Status,
+		Error:        v.Error,
+		Snapshots:    v.Snapshots,
+		Sessions:     v.Pushed,
+		WatermarkSec: v.Watermark,
+	})
 }
 
 // handleDraining refuses new work while the daemon drains for

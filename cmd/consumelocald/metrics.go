@@ -23,8 +23,7 @@ type daemonMetrics struct {
 
 	// replay is the per-stage instrumentation set shared by every job
 	// the daemon runs (stage counters aggregate across jobs; the
-	// per-stream ingest gauges are deliberately absent — the aggregate
-	// consumelocald_ingest_* series below replace them).
+	// aggregate consumelocald_ingest_* series below cover the streams).
 	replay *obs.ReplayMetrics
 
 	jobsSubmitted *obs.CounterVec // kind: trace|generator|ingest|sync
@@ -66,7 +65,7 @@ func newDaemonMetrics(s *server) *daemonMetrics {
 	m := &daemonMetrics{
 		reg:    r,
 		start:  time.Now(),
-		replay: obs.NewStageMetrics(r),
+		replay: obs.NewReplayMetrics(r),
 
 		jobsSubmitted: r.CounterVec("consumelocald_jobs_submitted_total",
 			"Replay jobs admitted, by submission kind (trace upload, generator, live ingest, synchronous replay).",

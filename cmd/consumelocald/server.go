@@ -151,6 +151,10 @@ type job struct {
 	// the created record of an ingest job so a restarted daemon can
 	// rebuild the same replay configuration and resume the stream.
 	rawQuery string
+	// pushed and watermark are the producer-side progress of an ingest
+	// job recovery settled, restored from the journal or the stored
+	// document: such a job has no queue to report it (see progress).
+	pushed, watermark int64
 
 	mu sync.Mutex
 	// status is "running", "done", "failed" or "cancelled".
@@ -182,15 +186,6 @@ type job struct {
 	result     *sim.Result
 	errMsg     string
 	changed    chan struct{}
-
-	// recovered marks a job rebuilt from the journal after a restart:
-	// replay and ingest are nil (there is no live pipeline behind it)
-	// and the status is terminal. The rec* fields carry the
-	// producer-side view an ingest job's queue would otherwise serve.
-	recovered    bool
-	recIngest    bool
-	recPushed    int64
-	recWatermark int64
 }
 
 // broadcastLocked wakes every follower. Callers hold j.mu.
@@ -234,20 +229,22 @@ func (j *job) view() jobView {
 	}
 	j.mu.Unlock()
 	// The ingest queue has its own lock; read it outside j.mu to keep
-	// the lock order trivial. A recovered job has no queue — its view
-	// is the journalled progress at the moment the daemon last
-	// committed a record for it.
-	switch {
-	case j.ingest != nil:
+	// the lock order trivial.
+	if j.kind == "ingest" {
 		v.Ingest = true
-		v.Pushed = j.ingest.Pushed()
-		v.Watermark = j.ingest.Watermark()
-	case j.recIngest:
-		v.Ingest = true
-		v.Pushed = j.recPushed
-		v.Watermark = j.recWatermark
+		v.Pushed, v.Watermark = j.progress()
 	}
 	return v
+}
+
+// progress reports an ingest job's producer-side progress: the live
+// queue's counters while the job has one, else the figures recovery
+// restored — as of the last record the daemon committed for it.
+func (j *job) progress() (pushed, watermark int64) {
+	if j.ingest == nil {
+		return j.pushed, j.watermark
+	}
+	return j.ingest.Pushed(), j.ingest.Watermark()
 }
 
 func newServer(maxJobs int) *server {
@@ -332,56 +329,17 @@ func (sp replaySpec) options() []consumelocal.Option {
 }
 
 // parseSpec parses the replay query parameters shared by /v1/replay and
-// /v1/jobs.
-func parseSpec(r *http.Request) (replaySpec, error) {
-	return parseSpecQuery(r.URL.Query())
-}
-
-// parseSpecQuery is parseSpec over bare query values — the form journal
-// recovery re-parses a resumed ingest job's journalled query through,
-// so a resume runs under exactly the validation its creation did.
-func parseSpecQuery(q url.Values) (replaySpec, error) {
-	getF := func(key string, def float64) (float64, error) {
-		v := q.Get(key)
-		if v == "" {
-			return def, nil
-		}
-		f, err := strconv.ParseFloat(v, 64)
-		if err != nil {
-			return 0, fmt.Errorf("query %s: %w", key, err)
-		}
-		return f, nil
-	}
-	getI := func(key string, def int64) (int64, error) {
-		v := q.Get(key)
-		if v == "" {
-			return def, nil
-		}
-		n, err := strconv.ParseInt(v, 10, 64)
-		if err != nil {
-			return 0, fmt.Errorf("query %s: %w", key, err)
-		}
-		return n, nil
-	}
-	getB := func(key string) (bool, error) {
-		v := q.Get(key)
-		if v == "" {
-			return false, nil
-		}
-		b, err := strconv.ParseBool(v)
-		if err != nil {
-			return false, fmt.Errorf("query %s: %w", key, err)
-		}
-		return b, nil
-	}
-
+// /v1/jobs. Journal recovery re-parses a resumed ingest job's journalled
+// query through it too, so a resume runs under exactly the validation
+// its creation did.
+func parseSpec(q url.Values) (replaySpec, error) {
 	sp := replaySpec{name: q.Get("name")}
-	ratio, err := getF("ratio", 1.0)
+	ratio, err := queryParam(q, "ratio", 1.0, parseFloat)
 	if err != nil {
 		return sp, err
 	}
 	sp.cfg = engine.DefaultConfig(ratio)
-	if sp.cfg.WindowSec, err = getI("window", 3600); err != nil {
+	if sp.cfg.WindowSec, err = queryParam(q, "window", 3600, parseInt); err != nil {
 		return sp, err
 	}
 	// Snapshot history is retained per job; a tiny window on a long
@@ -389,38 +347,50 @@ func parseSpecQuery(q url.Values) (replaySpec, error) {
 	if sp.cfg.WindowSec < 60 {
 		return sp, fmt.Errorf("query window: must be at least 60 seconds, got %d", sp.cfg.WindowSec)
 	}
-	var workers int64
-	if workers, err = getI("workers", int64(runtime.GOMAXPROCS(0))); err != nil {
-		return sp, err
-	}
-	sp.cfg.Workers = int(workers)
-	if sp.cfg.Sim.ParticipationRate, err = getF("participation", 1.0); err != nil {
-		return sp, err
-	}
-	if sp.cfg.Sim.QuantizeTickSec, err = getI("tick", 0); err != nil {
-		return sp, err
-	}
-	if sp.cfg.Sim.SeedRetentionSec, err = getI("seed_retention", 0); err != nil {
-		return sp, err
-	}
-	cityWide, err := getB("city_wide")
+	workers, err := queryParam(q, "workers", int64(runtime.GOMAXPROCS(0)), parseInt)
 	if err != nil {
 		return sp, err
 	}
-	mixed, err := getB("mixed_bitrates")
+	sp.cfg.Workers = int(workers)
+	if sp.cfg.Sim.ParticipationRate, err = queryParam(q, "participation", 1.0, parseFloat); err != nil {
+		return sp, err
+	}
+	if sp.cfg.Sim.QuantizeTickSec, err = queryParam(q, "tick", 0, parseInt); err != nil {
+		return sp, err
+	}
+	if sp.cfg.Sim.SeedRetentionSec, err = queryParam(q, "seed_retention", 0, parseInt); err != nil {
+		return sp, err
+	}
+	cityWide, err := queryParam(q, "city_wide", false, strconv.ParseBool)
+	if err != nil {
+		return sp, err
+	}
+	mixed, err := queryParam(q, "mixed_bitrates", false, strconv.ParseBool)
 	if err != nil {
 		return sp, err
 	}
 	sp.cfg.Sim.Swarm = swarm.Options{RestrictISP: !cityWide, SplitBitrate: !mixed}
-	if v := q.Get("track_users"); v != "" {
-		track, err := strconv.ParseBool(v)
-		if err != nil {
-			return sp, fmt.Errorf("query track_users: %w", err)
-		}
-		sp.cfg.Sim.TrackUsers = track
-	}
-	return sp, nil
+	sp.cfg.Sim.TrackUsers, err = queryParam(q, "track_users", sp.cfg.Sim.TrackUsers, strconv.ParseBool)
+	return sp, err
 }
+
+// queryParam parses the optional query parameter key with parse,
+// returning def when it is absent. A malformed value is reported as
+// "query <key>: <parse error>"; range checks stay with the caller.
+func queryParam[T any](q url.Values, key string, def T, parse func(string) (T, error)) (T, error) {
+	raw := q.Get(key)
+	if raw == "" {
+		return def, nil
+	}
+	v, err := parse(raw)
+	if err != nil {
+		return v, fmt.Errorf("query %s: %w", key, err)
+	}
+	return v, nil
+}
+
+func parseInt(s string) (int64, error)     { return strconv.ParseInt(s, 10, 64) }
+func parseFloat(s string) (float64, error) { return strconv.ParseFloat(s, 64) }
 
 // spoolIdleTimeout bounds how long an async job submission's upload may
 // go without delivering a byte: the handler holds a claimed quota slot
@@ -440,39 +410,29 @@ func (s *server) jobSource(w http.ResponseWriter, r *http.Request) (consumelocal
 	q := r.URL.Query()
 	switch v := q.Get("source"); v {
 	case "generator":
-		scale, days, seed := 0.01, 7, int64(1)
-		if raw := q.Get("scale"); raw != "" {
-			f, err := strconv.ParseFloat(raw, 64)
-			if err != nil {
-				return nil, nil, fmt.Errorf("query scale: %w", err)
-			}
-			// DefaultGeneratorConfig treats scale<=0 as full paper scale —
-			// refuse rather than let a typo launch a 23.5M-session job, and
-			// bound the upside so one request cannot allocate unbounded
-			// per-user tables.
-			if f <= 0 || f > 1 {
-				return nil, nil, fmt.Errorf("query scale: must be in (0, 1], got %g", f)
-			}
-			scale = f
+		scale, err := queryParam(q, "scale", 0.01, parseFloat)
+		if err != nil {
+			return nil, nil, err
 		}
-		if raw := q.Get("days"); raw != "" {
-			n, err := strconv.Atoi(raw)
-			if err != nil {
-				return nil, nil, fmt.Errorf("query days: %w", err)
-			}
-			// The generator allocates days*24 hour buckets up front; bound
-			// it so one request cannot OOM the daemon.
-			if n < 1 || n > 365 {
-				return nil, nil, fmt.Errorf("query days: must be in [1, 365], got %d", n)
-			}
-			days = n
+		// DefaultGeneratorConfig treats scale<=0 as full paper scale —
+		// refuse rather than let a typo launch a 23.5M-session job, and
+		// bound the upside so one request cannot allocate unbounded
+		// per-user tables.
+		if scale <= 0 || scale > 1 {
+			return nil, nil, fmt.Errorf("query scale: must be in (0, 1], got %g", scale)
 		}
-		if raw := q.Get("seed"); raw != "" {
-			n, err := strconv.ParseInt(raw, 10, 64)
-			if err != nil {
-				return nil, nil, fmt.Errorf("query seed: %w", err)
-			}
-			seed = n
+		days, err := queryParam(q, "days", 7, strconv.Atoi)
+		if err != nil {
+			return nil, nil, err
+		}
+		// The generator allocates days*24 hour buckets up front; bound
+		// it so one request cannot OOM the daemon.
+		if days < 1 || days > 365 {
+			return nil, nil, fmt.Errorf("query days: must be in [1, 365], got %d", days)
+		}
+		seed, err := queryParam(q, "seed", 1, parseInt)
+		if err != nil {
+			return nil, nil, err
 		}
 		cfg := trace.DefaultGeneratorConfig(scale)
 		cfg.Days = days
@@ -484,33 +444,12 @@ func (s *server) jobSource(w http.ResponseWriter, r *http.Request) (consumelocal
 		if err != nil {
 			return nil, nil, err
 		}
-		capacity, err := parseIngestCapacity(q)
+		ing, startWall, cleanup, err := openIngest(q, meta)
 		if err != nil {
 			return nil, nil, err
 		}
-		ing, err := consumelocal.NewIngestSource(meta, capacity)
-		if err != nil {
-			return nil, nil, err
-		}
-		wall, err := parseWallWatermark(q)
-		if err != nil {
-			return nil, nil, err
-		}
-		stopWall := func() {}
-		if wall.enabled {
-			wallCtx, cancel := context.WithCancel(context.Background())
-			stopWall = cancel
-			go wallWatermark(wallCtx, ing, meta.HorizonSec, wall.interval, wall.rate)
-		}
-		// The cleanup runs once the job settles: tear the queue down so
-		// producers blocked in a push unblock and later pushes are
-		// refused with a closed-stream conflict. Aborting also unwinds
-		// the wall-clock watermark goroutine; cancelling its context
-		// first just spares it a doomed Advance.
-		return ing, func() {
-			stopWall()
-			ing.Abort(errIngestJobOver)
-		}, nil
+		startWall()
+		return ing, cleanup, nil
 	case "", "body":
 		f, err := os.CreateTemp("", "consumelocald-job-*.csv")
 		if err != nil {
@@ -562,22 +501,42 @@ func (s *server) jobSource(w http.ResponseWriter, r *http.Request) (consumelocal
 	}
 }
 
-// parseIngestCapacity parses ?capacity=, the ingest queue bound: one
-// job cannot buffer an unbounded burst in memory — backpressure, not
-// buffering, absorbs a slow replay.
-func parseIngestCapacity(q url.Values) (int, error) {
-	capacity := defaultIngestCapacity
-	if raw := q.Get("capacity"); raw != "" {
-		n, err := strconv.Atoi(raw)
-		if err != nil {
-			return 0, fmt.Errorf("query capacity: %w", err)
-		}
-		if n < 1 || n > 1<<20 {
-			return 0, fmt.Errorf("query capacity: must be in [1, %d], got %d", 1<<20, n)
-		}
-		capacity = n
+// openIngest opens an ingest job's queue over meta, configured by the
+// job's creation query: the queue bound (?capacity=) and the wall-clock
+// watermark fallback. startWall starts that clock — a no-op unless the
+// query asked for watermark=wall. cleanup runs once the job settles: it
+// tears the queue down, so producers blocked in a push unblock and
+// later pushes are refused with a closed-stream conflict. Aborting also
+// unwinds the wall-clock goroutine; cancelling its context first just
+// spares it a doomed Advance.
+func openIngest(q url.Values, meta trace.Meta) (ing *consumelocal.IngestSource, startWall, cleanup func(), err error) {
+	// One job cannot buffer an unbounded burst in memory: backpressure,
+	// not buffering, absorbs a slow replay.
+	capacity, err := queryParam(q, "capacity", defaultIngestCapacity, strconv.Atoi)
+	if err != nil {
+		return nil, nil, nil, err
 	}
-	return capacity, nil
+	if capacity < 1 || capacity > 1<<20 {
+		return nil, nil, nil, fmt.Errorf("query capacity: must be in [1, %d], got %d", 1<<20, capacity)
+	}
+	wall, err := parseWallWatermark(q)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	if ing, err = consumelocal.NewIngestSource(meta, capacity); err != nil {
+		return nil, nil, nil, err
+	}
+	wallCtx, stopWall := context.WithCancel(context.Background())
+	startWall = func() {
+		if wall.enabled {
+			go wallWatermark(wallCtx, ing, meta.HorizonSec, wall.interval, wall.rate)
+		}
+	}
+	cleanup = func() {
+		stopWall()
+		ing.Abort(errIngestJobOver)
+	}
+	return ing, startWall, cleanup, nil
 }
 
 // Upper bounds on ingest stream metadata. Every streaming worker
@@ -635,12 +594,10 @@ func ingestMeta(q url.Values) (trace.Meta, error) {
 		return meta, fmt.Errorf("query horizon: must be at most %d seconds (366 days), got %d", maxIngestHorizonSec, horizon)
 	}
 	meta.HorizonSec = horizon
-	if raw := q.Get("epoch"); raw != "" {
-		epoch, err := time.Parse(time.RFC3339, raw)
-		if err != nil {
-			return meta, fmt.Errorf("query epoch: %w", err)
-		}
-		meta.Epoch = epoch
+	if meta.Epoch, err = queryParam(q, "epoch", meta.Epoch, func(raw string) (time.Time, error) {
+		return time.Parse(time.RFC3339, raw)
+	}); err != nil {
+		return meta, err
 	}
 	return meta, meta.Validate()
 }
@@ -679,25 +636,18 @@ func parseWallWatermark(q url.Values) (wallConfig, error) {
 	default:
 		return cfg, fmt.Errorf("query watermark: unknown mode %q (only \"wall\" is supported on job creation)", v)
 	}
-	if raw := q.Get("wall_interval"); raw != "" {
-		d, err := time.ParseDuration(raw)
-		if err != nil {
-			return cfg, fmt.Errorf("query wall_interval: %w", err)
-		}
-		if d < minWallInterval || d > maxWallInterval {
-			return cfg, fmt.Errorf("query wall_interval: must be in [%s, %s], got %s", minWallInterval, maxWallInterval, d)
-		}
-		cfg.interval = d
+	var err error
+	if cfg.interval, err = queryParam(q, "wall_interval", cfg.interval, time.ParseDuration); err != nil {
+		return cfg, err
 	}
-	if raw := q.Get("wall_rate"); raw != "" {
-		f, err := strconv.ParseFloat(raw, 64)
-		if err != nil {
-			return cfg, fmt.Errorf("query wall_rate: %w", err)
-		}
-		if f <= 0 || f > maxWallRate {
-			return cfg, fmt.Errorf("query wall_rate: must be in (0, %g], got %g", float64(maxWallRate), f)
-		}
-		cfg.rate = f
+	if cfg.interval < minWallInterval || cfg.interval > maxWallInterval {
+		return cfg, fmt.Errorf("query wall_interval: must be in [%s, %s], got %s", minWallInterval, maxWallInterval, cfg.interval)
+	}
+	if cfg.rate, err = queryParam(q, "wall_rate", cfg.rate, parseFloat); err != nil {
+		return cfg, err
+	}
+	if cfg.rate <= 0 || cfg.rate > maxWallRate {
+		return cfg, fmt.Errorf("query wall_rate: must be in (0, %g], got %g", float64(maxWallRate), cfg.rate)
 	}
 	return cfg, nil
 }
@@ -872,28 +822,54 @@ func (s *server) releaseSlot() {
 // startJob starts the replay under ctx and publishes the job, consuming
 // the quota slot the caller claimed with claimSlot. The job is only
 // registered with its replay handle attached (DELETE and followers can
-// never observe a half-built one). It returns an HTTP status alongside
-// the error so handlers pass refusals through uniformly.
-func (s *server) startJob(ctx context.Context, sp replaySpec, src consumelocal.Source, cleanup func(), extra ...consumelocal.Option) (*job, int, error) {
+// never observe a half-built one). A refused replay is a bad request.
+func (s *server) startJob(ctx context.Context, sp replaySpec, src consumelocal.Source, cleanup func(), extra ...consumelocal.Option) (*job, error) {
+	j, err := s.launch(ctx, sp, src, cleanup, extra...)
+	if err != nil {
+		s.releaseSlot()
+		return nil, err
+	}
+	s.armWatchdog(j)
+	s.mu.Lock()
+	s.pending--
+	j.id = s.nextID
+	s.nextID++
+	s.jobs[j.id] = j
+	evicted := s.evictLocked()
+	s.mu.Unlock()
+	s.dropStored(evicted)
+	// The admission record lands — fsynced — before the 202/200 goes
+	// out, so a job the client was told exists survives a crash (as
+	// "interrupted" if it never finishes).
+	s.journalAppend(s.createdRecord(j))
+
+	s.met.jobsSubmitted.With1(j.kind).Inc()
+	s.logger.Info("job started",
+		slog.Int("job", j.id),
+		slog.String("kind", j.kind),
+		slog.String("name", j.name))
+	go j.pump()
+	return j, nil
+}
+
+// launch starts the replay of src under ctx and builds the running job
+// around it: the one way a job comes to life, whether submitted or
+// resumed from the journal. A refused replay runs cleanup. The caller
+// gives the job its identity and starts its pump.
+func (s *server) launch(ctx context.Context, sp replaySpec, src consumelocal.Source, cleanup func(), extra ...consumelocal.Option) (*job, error) {
 	// Every job records into the daemon's shared per-stage set, so
 	// /metrics exposes daemon-wide source/settle/emit totals.
 	opts := append(sp.options(), consumelocal.WithReplayMetrics(s.met.replay))
 	rep, err := consumelocal.Replay(ctx, src, append(opts, extra...)...)
 	if err != nil {
-		s.releaseSlot()
 		if cleanup != nil {
 			cleanup()
 		}
-		return nil, http.StatusBadRequest, err
-	}
-
-	kind := sp.kind
-	if kind == "" {
-		kind = "trace"
+		return nil, err
 	}
 	j := &job{
 		name:    sp.name,
-		kind:    kind,
+		kind:    sp.kind,
 		srv:     s,
 		started: time.Now().UTC(),
 		// rep.Meta was captured synchronously by Replay before the engine
@@ -914,27 +890,7 @@ func (s *server) startJob(ctx context.Context, sp replaySpec, src consumelocal.S
 	// producer goes silent (a crashed broadcast system must not pin a
 	// quota slot forever). Successful ingest calls re-arm the watchdog.
 	j.ingest, _ = src.(*consumelocal.IngestSource)
-	s.armWatchdog(j)
-	s.mu.Lock()
-	s.pending--
-	j.id = s.nextID
-	s.nextID++
-	s.jobs[j.id] = j
-	evicted := s.evictLocked()
-	s.mu.Unlock()
-	s.dropStored(evicted)
-	// The admission record lands — fsynced — before the 202/200 goes
-	// out, so a job the client was told exists survives a crash (as
-	// "interrupted" if it never finishes).
-	s.journalAppend(s.createdRecord(j))
-
-	s.met.jobsSubmitted.With1(kind).Inc()
-	s.logger.Info("job started",
-		slog.Int("job", j.id),
-		slog.String("kind", kind),
-		slog.String("name", j.name))
-	go j.pump()
-	return j, http.StatusOK, nil
+	return j, nil
 }
 
 // armWatchdog arms an ingest job's idle watchdog (a no-op for other
@@ -1059,7 +1015,7 @@ func (s *server) handleCreateJob(w http.ResponseWriter, r *http.Request) {
 	if s.handleDraining(w) {
 		return
 	}
-	sp, err := parseSpec(r)
+	sp, err := parseSpec(r.URL.Query())
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return
@@ -1093,9 +1049,9 @@ func (s *server) handleCreateJob(w http.ResponseWriter, r *http.Request) {
 		writeError(w, status, err)
 		return
 	}
-	j, status, err := s.startJob(context.Background(), sp, src, cleanup)
+	j, err := s.startJob(context.Background(), sp, src, cleanup)
 	if err != nil {
-		writeError(w, status, err)
+		writeError(w, http.StatusBadRequest, err)
 		return
 	}
 	writeJSON(w, http.StatusAccepted, j.view())
@@ -1105,6 +1061,11 @@ func (s *server) handleCreateJob(w http.ResponseWriter, r *http.Request) {
 // settles (done, failed or cancelled) and its queue is torn down: the
 // diagnosis a producer sees when it keeps pushing afterwards.
 var errIngestJobOver = errors.New("the replay job is no longer running")
+
+// errIngestSettled is how a settled stream's torn-down queue refuses
+// input. A job recovery settled has no queue; it answers with this
+// directly, so producers see the same 409 either way.
+var errIngestSettled = fmt.Errorf("%w: %w", consumelocal.ErrIngestClosed, errIngestJobOver)
 
 // ingestBatch is the JSON form of one sessions push: a batch of
 // sessions in start order, optionally advancing the watermark after the
@@ -1121,7 +1082,7 @@ func (s *server) ingestJob(w http.ResponseWriter, r *http.Request) *job {
 	if j == nil {
 		return nil
 	}
-	if j.ingest == nil {
+	if j.kind != "ingest" {
 		writeError(w, http.StatusConflict, fmt.Errorf("job %d is not an ingest job", j.id))
 		return nil
 	}
@@ -1181,63 +1142,66 @@ func (s *server) handleIngestSessions(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	if raw := r.URL.Query().Get("watermark"); raw != "" {
-		n, err := strconv.ParseInt(raw, 10, 64)
-		if err != nil {
-			writeError(w, http.StatusBadRequest, fmt.Errorf("query watermark: %w", err))
-			return
-		}
-		watermark = &n
+	watermark, err := queryParam(r.URL.Query(), "watermark", watermark, func(raw string) (*int64, error) {
+		n, err := parseInt(raw)
+		return &n, err
+	})
+	if err != nil {
+		writeError(w, http.StatusBadRequest, err)
+		return
 	}
 	s.met.ingestBatches.Inc()
 
-	pushed := 0
+	pushed, advanced, err := j.feed(r.Context(), sessions, watermark)
+	// Fsync-on-commit: the accepted prefix — the whole batch on success —
+	// must be durable before the response reports it, since producers
+	// resume from the pushed count. A journal failure refuses the ack:
+	// the producer must treat the batch as indeterminate rather than
+	// trust sessions a restart would forget.
+	if jerr := s.journalBatch(j, sessions[:pushed], advanced); jerr != nil {
+		writeError(w, http.StatusInternalServerError, fmt.Errorf("journal batch: %w", jerr))
+		return
+	}
+	if err != nil {
+		writeIngestError(w, r, j, pushed, err)
+		return
+	}
+	total, wm := j.progress()
+	writeJSON(w, http.StatusOK, map[string]any{
+		"job":           j.id,
+		"pushed":        pushed,
+		"total_pushed":  total,
+		"watermark_sec": wm,
+	})
+}
+
+// feed pushes a session batch onto the job's stream, then advances its
+// watermark, stopping at the first refusal. It reports how many
+// sessions landed and whether the watermark moved. A job recovery
+// settled has no queue and refuses any input with errIngestSettled.
+func (j *job) feed(ctx context.Context, sessions []trace.Session, watermark *int64) (pushed int, advanced bool, err error) {
+	if j.ingest == nil && (len(sessions) > 0 || watermark != nil) {
+		return 0, false, errIngestSettled
+	}
 	for _, sess := range sessions {
-		if err := j.ingest.PushContext(r.Context(), sess); err != nil {
-			// The accepted prefix is real ingested data the response
-			// reports (and producers resume from) — journal it before
-			// acknowledging it.
-			if perr := s.journalBatch(j, sessions[:pushed], false); perr != nil {
-				writeError(w, http.StatusInternalServerError, fmt.Errorf("journal batch: %w", perr))
-				return
-			}
-			writeIngestError(w, r, j, pushed, err)
-			return
+		if err := j.ingest.PushContext(ctx, sess); err != nil {
+			return pushed, false, err
 		}
 		pushed++
-		s.met.ingestSessions.Inc()
+		j.srv.met.ingestSessions.Inc()
 		// Touch per accepted session, not per batch: a large batch
 		// draining through backpressure for longer than the idle
 		// deadline is a live producer, not a silent one.
 		j.touchIngest()
 	}
-	advanced := false
-	if watermark != nil {
-		if err := j.ingest.AdvanceContext(r.Context(), *watermark); err != nil {
-			if perr := s.journalBatch(j, sessions[:pushed], false); perr != nil {
-				writeError(w, http.StatusInternalServerError, fmt.Errorf("journal batch: %w", perr))
-				return
-			}
-			writeIngestError(w, r, j, pushed, err)
-			return
-		}
-		advanced = true
-		j.touchIngest()
+	if watermark == nil {
+		return pushed, false, nil
 	}
-	// Fsync-on-commit: the batch record must be durable before the 200
-	// acknowledges it. A journal failure here refuses the ack — the
-	// producer must treat the batch as indeterminate — rather than
-	// acknowledging sessions a restart would forget.
-	if err := s.journalBatch(j, sessions[:pushed], advanced); err != nil {
-		writeError(w, http.StatusInternalServerError, fmt.Errorf("journal batch: %w", err))
-		return
+	if err := j.ingest.AdvanceContext(ctx, *watermark); err != nil {
+		return pushed, false, err
 	}
-	writeJSON(w, http.StatusOK, map[string]any{
-		"job":           j.id,
-		"pushed":        pushed,
-		"total_pushed":  j.ingest.Pushed(),
-		"watermark_sec": j.ingest.Watermark(),
-	})
+	j.touchIngest()
+	return pushed, true, nil
 }
 
 // batchErrStatus distinguishes an oversized batch (413, the cap is the
@@ -1282,7 +1246,11 @@ func (s *server) handleIngestFinish(w http.ResponseWriter, r *http.Request) {
 	if j == nil {
 		return
 	}
-	if err := j.ingest.Close(); err != nil {
+	err := errIngestJobOver // recovery settled the job: no queue to seal
+	if j.ingest != nil {
+		err = j.ingest.Close()
+	}
+	if err != nil {
 		writeError(w, http.StatusConflict, err)
 		return
 	}
@@ -1307,7 +1275,7 @@ func (s *server) handleReplay(w http.ResponseWriter, r *http.Request) {
 	if s.handleDraining(w) {
 		return
 	}
-	sp, err := parseSpec(r)
+	sp, err := parseSpec(r.URL.Query())
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return
@@ -1344,9 +1312,9 @@ func (s *server) handleReplay(w http.ResponseWriter, r *http.Request) {
 	// always complete — unlike /v1/jobs/{id}/snapshots, which may skip
 	// ahead past evicted history.
 	sink := &syncSink{w: w, ready: make(chan struct{})}
-	j, status, err := s.startJob(r.Context(), sp, src, nil, consumelocal.WithSink(sink))
+	j, err := s.startJob(r.Context(), sp, src, nil, consumelocal.WithSink(sink))
 	if err != nil {
-		writeError(w, status, err)
+		writeError(w, http.StatusBadRequest, err)
 		return
 	}
 
@@ -1366,16 +1334,7 @@ func (s *server) handleReplay(w http.ResponseWriter, r *http.Request) {
 	// is the job's context, so a disconnect unwinds the replay and
 	// settles the status promptly, and returning earlier would let the
 	// sink write to the ResponseWriter after the handler exits.
-	for {
-		j.mu.Lock()
-		settled := j.status != "running"
-		changed := j.changed
-		j.mu.Unlock()
-		if settled {
-			break
-		}
-		<-changed
-	}
+	j.wait(context.Background())
 
 	j.mu.Lock()
 	res, errMsg := j.result, j.errMsg
@@ -1466,6 +1425,41 @@ func (j *job) follow(ctx context.Context, emit func(engine.Snapshot)) {
 	}
 }
 
+// wait blocks until the job settles or ctx is done, reporting whether
+// it settled.
+func (j *job) wait(ctx context.Context) bool {
+	for {
+		j.mu.Lock()
+		settled, changed := j.status != "running", j.changed
+		j.mu.Unlock()
+		if settled {
+			return true
+		}
+		select {
+		case <-changed:
+		case <-ctx.Done():
+			return false
+		}
+	}
+}
+
+// cancel cancels a running job's replay. A sync replay may be blocked
+// reading a stalled client's body, where cancellation is not observed,
+// so the read is cut too and the quota slot is actually freed. A
+// settled job — including every job recovery settled, which has no
+// replay — is left as it is.
+func (j *job) cancel() {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	if j.status != "running" {
+		return
+	}
+	j.replay.Cancel()
+	if j.interrupt != nil {
+		j.interrupt()
+	}
+}
+
 // handleJobSnapshots streams a job's snapshots as NDJSON: the full
 // history first, then live mid-flight snapshots until the job finishes,
 // closing with a status line. Any number of followers may attach to the
@@ -1504,38 +1498,11 @@ func (s *server) handleCancelJob(w http.ResponseWriter, r *http.Request) {
 	if j == nil {
 		return
 	}
-	// A recovered job has no replay behind it and is already settled;
-	// cancellation is the idempotent no-op the settled branch reports.
-	if j.replay != nil {
-		j.replay.Cancel()
-	}
-	// A sync replay may be blocked reading a stalled client's body,
-	// where cancellation is not observed; cut the read so the slot is
-	// actually freed.
-	j.mu.Lock()
-	if j.status == "running" && j.interrupt != nil {
-		j.interrupt()
-	}
-	j.mu.Unlock()
-	deadline := time.After(time.Second)
-	for {
-		j.mu.Lock()
-		settled := j.status != "running"
-		changed := j.changed
-		j.mu.Unlock()
-		if settled {
-			break
-		}
-		select {
-		case <-changed:
-		case <-deadline:
-			// Still unwinding (e.g. a Source blocked in Next); report the
-			// in-flight view rather than hanging the client.
-			writeJSON(w, http.StatusOK, j.view())
-			return
-		case <-r.Context().Done():
-			return
-		}
+	j.cancel()
+	ctx, stop := context.WithTimeout(r.Context(), time.Second)
+	defer stop()
+	if !j.wait(ctx) && r.Context().Err() != nil {
+		return
 	}
 	writeJSON(w, http.StatusOK, j.view())
 }
@@ -1563,18 +1530,7 @@ func (s *server) drainJobs(drain time.Duration) {
 	}
 	s.mu.Unlock()
 	for _, j := range jobs {
-		if j.replay == nil {
-			// Recovered jobs are settled and have no pipeline to unwind.
-			continue
-		}
-		j.replay.Cancel()
-		// As in DELETE: a sync replay may be blocked reading a stalled
-		// client's body where cancellation is not observed; cut the read.
-		j.mu.Lock()
-		if j.status == "running" && j.interrupt != nil {
-			j.interrupt()
-		}
-		j.mu.Unlock()
+		j.cancel()
 	}
 	settle := time.Now().Add(5 * time.Second)
 	for s.running() > 0 && time.Now().Before(settle) {

@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"consumelocal/internal/engine"
-	"consumelocal/internal/obs"
 )
 
 // LiveSource is a Source for unsealed, watermarked streams: sessions
@@ -83,9 +82,6 @@ type IngestSource struct {
 	// the clock is touched only when a producer actually blocks.
 	blockedNanos int64
 	peak         int
-	// metrics, when attached via Instrument, mirrors depth, peak, lag and
-	// stall time into an obs gauge set on every queue transition.
-	metrics *obs.IngestMetrics
 }
 
 // NewIngestSource returns an ingest queue for a stream with the given
@@ -155,45 +151,12 @@ func (s *IngestSource) WatermarkLag() int64 {
 	return s.lagLocked()
 }
 
-// Instrument attaches an ingest instrumentation set: queue depth, peak
-// depth, watermark lag and producer stall time are published on every
-// queue transition from here on. The gauges describe this one stream,
-// so attach a set to a single source only — a daemon aggregating many
-// streams derives its figures from the Pending/Blocked/WatermarkLag
-// accessors instead. Attach before the replay starts consuming.
-func (s *IngestSource) Instrument(m *obs.IngestMetrics) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.metrics = m
-	s.publishLocked()
-}
-
 // lagLocked computes the watermark lag. Callers hold s.mu.
 func (s *IngestSource) lagLocked() int64 {
 	if s.lastStart > s.watermark {
 		return s.lastStart - s.watermark
 	}
 	return 0
-}
-
-// publishLocked mirrors the queue's state into the attached metrics set,
-// if any. Callers hold s.mu.
-func (s *IngestSource) publishLocked() {
-	if s.metrics == nil {
-		return
-	}
-	depth := float64(s.len())
-	s.metrics.QueueDepth.Set(depth)
-	s.metrics.QueuePeak.SetMax(depth)
-	s.metrics.WatermarkLagSeconds.Set(float64(s.lagLocked()))
-}
-
-// noteBlockedLocked accounts one producer stall. Callers hold s.mu.
-func (s *IngestSource) noteBlockedLocked(d time.Duration) {
-	s.blockedNanos += int64(d)
-	if s.metrics != nil {
-		s.metrics.PushBlockSeconds.Add(d.Seconds())
-	}
 }
 
 // Push appends one session to the stream, blocking while the queue is
@@ -214,7 +177,7 @@ func (s *IngestSource) PushContext(ctx context.Context, sess Session) error {
 	var blockStart time.Time
 	defer func() {
 		if !blockStart.IsZero() {
-			s.noteBlockedLocked(time.Since(blockStart))
+			s.blockedNanos += int64(time.Since(blockStart))
 		}
 	}()
 	for {
@@ -252,7 +215,6 @@ func (s *IngestSource) PushContext(ctx context.Context, sess Session) error {
 	if n := s.len(); n > s.peak {
 		s.peak = n
 	}
-	s.publishLocked()
 	s.cond.Broadcast()
 	return nil
 }
@@ -276,7 +238,7 @@ func (s *IngestSource) AdvanceContext(ctx context.Context, watermarkSec int64) e
 	var blockStart time.Time
 	defer func() {
 		if !blockStart.IsZero() {
-			s.noteBlockedLocked(time.Since(blockStart))
+			s.blockedNanos += int64(time.Since(blockStart))
 		}
 	}()
 	for {
@@ -310,7 +272,6 @@ func (s *IngestSource) AdvanceContext(ctx context.Context, watermarkSec int64) e
 		s.cond.Wait()
 	}
 	s.watermark = watermarkSec
-	s.publishLocked()
 	s.cond.Broadcast()
 	return nil
 }
@@ -347,7 +308,6 @@ func (s *IngestSource) Abort(err error) {
 	s.abortErr = err
 	s.queue = nil
 	s.head = 0
-	s.publishLocked()
 	s.cond.Broadcast()
 }
 
@@ -390,7 +350,6 @@ func (s *IngestSource) NextEvent(ctx context.Context) (SourceEvent, error) {
 				s.queue = append(s.queue[:0], s.queue[s.head:]...)
 				s.head = 0
 			}
-			s.publishLocked()
 			s.cond.Broadcast()
 			return ev, nil
 		}

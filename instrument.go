@@ -17,18 +17,17 @@ func NewMetrics() *Metrics { return obs.NewRegistry() }
 
 // WithInstrumentation registers the replay pipeline's instrumentation
 // set on reg and records into it: per-stage wall-clock totals (source
-// read, engine settle, sink emit), sessions read, windows settled, and
-// — when the Source is an IngestSource — queue depth, backpressure
-// stall time and watermark lag at the points backpressure actually
-// happens. Counters are plain atomics; the overhead is two clock reads
-// per session on each of the source and settle stages plus two per
-// window mark, and nothing when the option is absent.
+// read, engine settle, sink emit), sessions read and windows settled.
+// Counters are plain atomics; the overhead is two clock reads per
+// session on each of the source and settle stages plus two per window
+// mark, and nothing when the option is absent. An IngestSource's queue
+// depth, peak, backpressure stall time and watermark lag are always
+// available from its Pending, QueuePeak, Blocked and WatermarkLag
+// accessors.
 //
 // The same registry may be shared by many jobs: the stage counters
 // aggregate across them (this is how consumelocald exposes daemon-wide
-// stage totals), while the ingest gauges describe whichever stream
-// wrote them last, so per-stream gauges belong to single-job
-// registries. Registering twice on one registry panics (duplicate
+// stage totals). Registering twice on one registry panics (duplicate
 // series) — share the ReplayMetrics via WithReplayMetrics instead.
 func WithInstrumentation(reg *Metrics) Option {
 	return WithReplayMetrics(obs.NewReplayMetrics(reg))

@@ -22,12 +22,12 @@ import (
 // function is exactly how a cancelled replay ends up wedged.
 var CtxSend = &analysis.Analyzer{
 	Name: "ctxsend",
-	Doc:  "channel ops in context-carrying functions must select on ctx.Done() (internal/engine, internal/loadgen)",
+	Doc:  "channel ops in context-carrying functions must select on ctx.Done() (internal/engine, internal/loadgen, internal/joblog, cmd/consumelocald)",
 	Run:  runCtxSend,
 }
 
 func init() {
-	CtxSend.Flags.String("packages", "internal/engine,internal/loadgen,internal/joblog",
+	CtxSend.Flags.String("packages", "internal/engine,internal/loadgen,internal/joblog,cmd/consumelocald",
 		"comma-separated package path suffixes the check applies to (empty: all packages)")
 }
 

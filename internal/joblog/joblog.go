@@ -7,17 +7,19 @@
 // CRC-framed JSON record, fsynced before the daemon acknowledges the
 // transition to a client. On restart, Open replays the log into
 // per-job states: finished jobs are re-served from the result store,
-// jobs that were running when the daemon died are deterministically
-// reported as interrupted, and the monotonic ingest counters are
-// restored so a client-versus-server session ledger survives the
-// bounce. A torn final record — the expected artifact of dying
+// an ingest job that was running when the daemon died keeps its
+// creation query and batch tail so the stream can resume, other
+// running jobs are deterministically reported as interrupted, and the
+// monotonic ingest counters are restored so a client-versus-server
+// session ledger survives the bounce. A torn final record — the expected artifact of dying
 // mid-write — is detected by its framing and truncated away; everything
 // before it replays.
 //
 // Checkpoint records carry aggregate totals across compactions: the
-// daemon periodically rewrites the journal down to one checkpoint plus
-// the terminal records of the retained jobs (Rewrite), so the file's
-// size is bounded by the retention window, not by uptime.
+// daemon rewrites the journal at startup and online down to one
+// checkpoint plus the retained jobs' created and terminal records and
+// the live streams' batch tails (CompactionPlan), so the file's size
+// is bounded by the retention window, not by uptime.
 package joblog
 
 import (

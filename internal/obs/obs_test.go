@@ -276,7 +276,6 @@ func TestReplayMetricsRegister(t *testing.T) {
 	r := NewRegistry()
 	m := NewReplayMetrics(r)
 	m.SourceSessions.Add(10)
-	m.Ingest.QueueDepth.Set(3)
 	var buf bytes.Buffer
 	if err := r.WritePrometheus(&buf); err != nil {
 		t.Fatal(err)
@@ -287,9 +286,6 @@ func TestReplayMetricsRegister(t *testing.T) {
 	}
 	if got, _ := exp.Value("consumelocal_replay_source_sessions_total"); got != 10 {
 		t.Fatalf("sessions = %g, want 10", got)
-	}
-	if got, _ := exp.Value("consumelocal_replay_ingest_queue_depth"); got != 3 {
-		t.Fatalf("queue depth = %g, want 3", got)
 	}
 }
 
