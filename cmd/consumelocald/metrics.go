@@ -219,3 +219,26 @@ func (m *daemonMetrics) instrument(mux *http.ServeMux, logger *slog.Logger) http
 			slog.String("remote", r.RemoteAddr))
 	})
 }
+
+// handleHealthz is the liveness probe, extended with build and uptime
+// information so an operator's first curl answers "what is this and how
+// long has it been up" without reaching for /metrics.
+func (s *server) handleHealthz(w http.ResponseWriter, r *http.Request) {
+	s.mu.Lock()
+	running := s.runningLocked()
+	s.mu.Unlock()
+	payload := map[string]any{
+		"status":         "ok",
+		"go_version":     runtime.Version(),
+		"started":        s.met.start.UTC(),
+		"uptime_seconds": time.Since(s.met.start).Seconds(),
+		"jobs_running":   running,
+		"max_jobs":       s.maxJobs,
+		"draining":       s.draining.Load(),
+	}
+	if s.jl != nil {
+		payload["durable"] = true
+		payload["recovery"] = s.recovered
+	}
+	writeJSON(w, http.StatusOK, payload)
+}
