@@ -226,7 +226,7 @@ func (s *server) resumeJob(st *joblog.JobState) (*job, error) {
 	}
 	ing, startWall, cleanup, err := openIngest(q, st.Meta)
 	if err != nil {
-		return nil, fmt.Errorf("journalled query: %w", err)
+		return nil, fmt.Errorf("reopen ingest stream: %w", err)
 	}
 	sp.kind, sp.rawQuery = st.Kind, st.Created.Query
 	j, err := s.launch(context.Background(), sp, ing, cleanup)

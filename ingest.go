@@ -148,11 +148,6 @@ func (s *IngestSource) Blocked() time.Duration {
 func (s *IngestSource) WatermarkLag() int64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.lagLocked()
-}
-
-// lagLocked computes the watermark lag. Callers hold s.mu.
-func (s *IngestSource) lagLocked() int64 {
 	if s.lastStart > s.watermark {
 		return s.lastStart - s.watermark
 	}
