@@ -29,10 +29,10 @@ test:
 	$(GO) test ./...
 
 ## race: race-check the concurrent subsystems (Replay API layer,
-## streaming engine, reference simulator, daemon job manager, job
-## journal, load generator, incremental swarm)
+## streaming engine, stage counters, reference simulator, daemon job
+## manager, job journal, load generator, incremental swarm)
 race:
-	$(GO) test -race . ./internal/engine/... ./internal/sim/... ./cmd/consumelocald/... \
+	$(GO) test -race . ./internal/engine/... ./internal/obs/... ./internal/sim/... ./cmd/consumelocald/... \
 		./internal/joblog/... ./internal/loadgen/... ./internal/swarm/...
 
 ## bench: the reproduction's benchmark report at reduced scale (the

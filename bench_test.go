@@ -22,6 +22,7 @@ package consumelocal_test
 
 import (
 	"bytes"
+	"context"
 	"math/rand"
 	"strings"
 	"testing"
@@ -376,7 +377,7 @@ func BenchmarkStream(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		run, err := engine.Stream(sc, streamCfg)
+		run, err := engine.Stream(context.Background(), sc, streamCfg)
 		if err != nil {
 			b.Fatal(err)
 		}

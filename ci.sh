@@ -28,7 +28,9 @@ go vet -vettool="$vet_tool_dir/consumelocal-vet" ./...
 fmt_drift="$(gofmt -s -l .)"
 test -z "$fmt_drift"
 go test ./...
-go test -race . ./internal/engine/... ./cmd/consumelocald/... \
+# internal/obs is in the set because the replay stage counters are
+# written from the engine's feed goroutine and its workers at once.
+go test -race . ./internal/engine/... ./cmd/consumelocald/... ./internal/obs/... \
 	./internal/joblog/... ./internal/loadgen/... ./internal/sim/... ./internal/swarm/...
 # Metrics lint: every /metrics scrape must parse under the exposition
 # linter (HELP/TYPE metadata, histogram suffixes, no duplicate series)
@@ -46,3 +48,7 @@ go test -run '^$' -bench . -benchtime 1x ./...
 # a durable daemon mid-run; the report must show a clean recovery and a
 # reconciled session ledger — see docs/DURABILITY.md.
 ./chaos-smoke.sh
+# Metrics smoke: boot a real daemon, run a generator job, scrape the
+# documented series (the replay stage counters included) and drive the
+# SIGTERM drain through a real signal — see docs/OBSERVABILITY.md.
+./metrics-smoke.sh

@@ -6,13 +6,11 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"runtime"
 
 	"consumelocal"
 	"consumelocal/internal/energy"
 	"consumelocal/internal/obs"
 	"consumelocal/internal/sim"
-	"consumelocal/internal/swarm"
 )
 
 // runReplay implements the `replay` subcommand on the unified Replay
@@ -29,14 +27,8 @@ func runReplay(args []string, out io.Writer) error {
 	liveScale := fs.Float64("live", 0, "replay the evening-TV live broadcast schedule at this audience scale, fed through a live ingest stream with hourly watermarks")
 	genDays := fs.Int("days", 7, "generator horizon in days (with -generate)")
 	genSeed := fs.Int64("seed", 1, "generator seed (with -generate or -live)")
-	ratio := fs.Float64("ratio", 1.0, "upload-to-bitrate ratio q/beta")
 	window := fs.Int64("window", 3600, "reporting window in seconds")
-	workers := fs.Int("workers", runtime.GOMAXPROCS(0), "shard workers")
-	participation := fs.Float64("participation", 1.0, "fraction of users contributing upload capacity")
-	seedRetention := fs.Int64("seed-retention", 0, "post-playback seeding window in seconds")
-	tick := fs.Int64("tick", 0, "quantize sessions to this tick (seconds); 0 = exact")
-	cityWide := fs.Bool("city-wide", false, "allow swarms to span ISPs")
-	mixedBitrates := fs.Bool("mixed-bitrates", false, "allow swarms to mix bitrate classes")
+	simCfg := simFlags(fs)
 	ndjson := fs.Bool("ndjson", false, "emit snapshots as NDJSON instead of a table")
 	stats := fs.Bool("stats", false, "print a per-stage instrumentation summary at exit (stage timings, windows; with -live also peak queue depth, backpressure stalls and watermark lag); with -ndjson it goes to stderr to keep the stream clean")
 	if err := fs.Parse(args); err != nil {
@@ -146,16 +138,11 @@ func runReplay(args []string, out io.Writer) error {
 		}
 	}
 
-	simCfg := sim.DefaultConfig(*ratio)
-	simCfg.ParticipationRate = *participation
-	simCfg.SeedRetentionSec = *seedRetention
-	simCfg.QuantizeTickSec = *tick
-	simCfg.Swarm = swarm.Options{RestrictISP: !*cityWide, SplitBitrate: !*mixedBitrates}
-
+	cfg, workers := simCfg()
 	opts := []consumelocal.Option{
-		consumelocal.WithSimConfig(simCfg),
+		consumelocal.WithSimConfig(cfg),
 		consumelocal.WithWindow(*window),
-		consumelocal.WithWorkers(*workers),
+		consumelocal.WithWorkers(workers),
 	}
 	if *ndjson {
 		opts = append(opts, consumelocal.WithSink(consumelocal.NDJSONSink(out)))
@@ -175,7 +162,7 @@ func runReplay(args []string, out io.Writer) error {
 	models := energy.BothModels()
 	if !*ndjson {
 		fmt.Fprintf(out, "replaying %q: %d-day horizon, window %ds, %d workers\n\n",
-			meta.Name, meta.Days(), *window, *workers)
+			meta.Name, meta.Days(), *window, workers)
 		fmt.Fprintf(out, "%8s %10s %9s %8s %8s", "window", "sessions", "active", "traffic", "offload")
 		for _, p := range models {
 			fmt.Fprintf(out, " %10s", p.Name)

@@ -25,14 +25,8 @@ import (
 func runSimulate(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("simulate", flag.ContinueOnError)
 	tracePath := fs.String("trace", "", "trace CSV path (default: read stdin)")
-	ratio := fs.Float64("ratio", 1.0, "upload-to-bitrate ratio q/beta")
-	participation := fs.Float64("participation", 1.0, "fraction of users contributing upload capacity")
-	seedRetention := fs.Int64("seed-retention", 0, "post-playback seeding window in seconds")
-	tick := fs.Int64("tick", 0, "quantize sessions to this tick (seconds); 0 = exact")
-	cityWide := fs.Bool("city-wide", false, "allow swarms to span ISPs")
-	mixedBitrates := fs.Bool("mixed-bitrates", false, "allow swarms to mix bitrate classes")
+	simCfg := simFlags(fs)
 	jsonPath := fs.String("json", "", "write the full result as JSON to this path")
-	workers := fs.Int("workers", runtime.GOMAXPROCS(0), "shard workers")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -42,14 +36,9 @@ func runSimulate(args []string, out io.Writer) error {
 		return err
 	}
 
-	cfg := sim.DefaultConfig(*ratio)
-	cfg.ParticipationRate = *participation
-	cfg.SeedRetentionSec = *seedRetention
-	cfg.QuantizeTickSec = *tick
-	cfg.Swarm = swarm.Options{RestrictISP: !*cityWide, SplitBitrate: !*mixedBitrates}
-
+	cfg, workers := simCfg()
 	job, err := consumelocal.Replay(context.Background(), consumelocal.TraceSource(tr),
-		consumelocal.WithSimConfig(cfg), consumelocal.WithWorkers(*workers),
+		consumelocal.WithSimConfig(cfg), consumelocal.WithWorkers(workers),
 		consumelocal.WithWindow(tr.HorizonSec))
 	if err != nil {
 		return err
@@ -69,6 +58,27 @@ func runSimulate(args []string, out io.Writer) error {
 		fmt.Fprintf(out, "\nfull result written to %s\n", *jsonPath)
 	}
 	return nil
+}
+
+// simFlags defines on fs the simulation flags simulate and replay
+// share, and returns the function that builds the simulation
+// configuration and shard-worker count from them once fs is parsed.
+func simFlags(fs *flag.FlagSet) func() (sim.Config, int) {
+	ratio := fs.Float64("ratio", 1.0, "upload-to-bitrate ratio q/beta")
+	participation := fs.Float64("participation", 1.0, "fraction of users contributing upload capacity")
+	seedRetention := fs.Int64("seed-retention", 0, "post-playback seeding window in seconds")
+	tick := fs.Int64("tick", 0, "quantize sessions to this tick (seconds); 0 = exact")
+	cityWide := fs.Bool("city-wide", false, "allow swarms to span ISPs")
+	mixedBitrates := fs.Bool("mixed-bitrates", false, "allow swarms to mix bitrate classes")
+	workers := fs.Int("workers", runtime.GOMAXPROCS(0), "shard workers")
+	return func() (sim.Config, int) {
+		cfg := sim.DefaultConfig(*ratio)
+		cfg.ParticipationRate = *participation
+		cfg.SeedRetentionSec = *seedRetention
+		cfg.QuantizeTickSec = *tick
+		cfg.Swarm = swarm.Options{RestrictISP: !*cityWide, SplitBitrate: !*mixedBitrates}
+		return cfg, *workers
+	}
 }
 
 // loadTrace reads a trace CSV from path, or stdin when path is empty.

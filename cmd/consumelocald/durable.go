@@ -235,34 +235,15 @@ func (s *server) resumeJob(st *joblog.JobState) (*job, error) {
 	}
 	j.id, j.name, j.started = st.ID, st.Name, st.Started
 	// The re-feed pushes through the bounded queue, and the engine stops
-	// reading it once its snapshot buffers fill: record the windows the
-	// tail settles into the job's history meanwhile, or a long tail
-	// blocks Push — and recovery — forever.
-	stopDrain := make(chan struct{})
-	drained := make(chan struct{})
-	go func() {
-		defer close(drained)
-		for {
-			select {
-			case snap, ok := <-j.replay.Snapshots():
-				if !ok {
-					return
-				}
-				j.record(snap)
-			case <-stopDrain:
-				return
-			}
-		}
-	}()
-	err = refeed(ing, st)
-	close(stopDrain)
-	<-drained
-	if err != nil {
-		// Unwind the half-built pipeline: abort the queue, cancel the
-		// run, and drain it in the background so its goroutines exit.
+	// reading it once the snapshot buffer fills: drain the run from the
+	// start (the job records each window the tail settles as its sink),
+	// or a long tail blocks Push — and recovery — forever.
+	go j.replay.Result()
+	if err := refeed(ing, st); err != nil {
+		// Unwind the half-built pipeline: abort the queue and cancel the
+		// run; the drain above lets its goroutines exit.
 		cleanup()
 		j.replay.Cancel()
-		go func() { _, _ = j.replay.Result() }()
 		return nil, err
 	}
 
@@ -450,23 +431,22 @@ func (s *server) dropStored(ids []int) {
 	}
 }
 
-// persistFinished is pump's terminal hook under a data dir: store a
-// done job's view and full result first, then journal the terminal
-// record — in that order, so a journal that says "done" always has a
-// result behind it. A failed store write downgrades the journalled
-// status: the job stays "done" in memory for this process's lifetime,
-// but a restart will (correctly) refuse to promise a result it does
-// not have.
-func (j *job) persistFinished() {
+// persistFinished is pump's terminal hook under a data dir, run before
+// the job publishes status: store a done job's view and full result
+// res first, then journal the terminal record — in that order, so a
+// journal that says "done" always has a result behind it. A failed
+// store write downgrades the journalled status: the job stays "done" in
+// memory for this process's lifetime, but a restart will (correctly)
+// refuse to promise a result it does not have.
+func (j *job) persistFinished(status, errMsg string, res *sim.Result) {
 	s := j.srv
 	if s.jl == nil {
 		return
 	}
 	v := j.view()
+	v.Status, v.Error = status, errMsg
 	if v.Status == "done" {
-		j.mu.Lock()
-		sr := storedResult{jobView: v, Result: j.result}
-		j.mu.Unlock()
+		sr := storedResult{jobView: v, Result: res}
 		if err := s.store.Put(j.id, &sr); err != nil {
 			s.met.journalErrors.Inc()
 			s.logger.Error("result store write failed",

@@ -97,6 +97,38 @@ func TestIngestFaultInjection(t *testing.T) {
 	waitStatus(t, ts.URL, v.ID, "done")
 }
 
+// TestSettledStatusIsDurable: a job publishes its terminal status only
+// once that status is durable. With every journal commit slowed to
+// 200ms, a poller that sees "done" must already find the result stored
+// and the finished record committed — a crash right after it must not
+// take the status back.
+func TestSettledStatusIsDurable(t *testing.T) {
+	srv, ts := durableServer(t, 0)
+	_, v := postJob(t, ingestURL(ts.URL, ""))
+	url := fmt.Sprintf("%s/v1/jobs/%d/sessions?watermark=3600", ts.URL, v.ID)
+	if resp, out := postSessions(t, url, "text/csv", sessionRows(0, 10)); resp.StatusCode != http.StatusOK {
+		t.Fatalf("batch = %d (%v), want 200", resp.StatusCode, out)
+	}
+	srv.jl.InjectFaults(&joblog.Faults{SyncErr: func() error {
+		time.Sleep(200 * time.Millisecond)
+		return nil
+	}})
+	resp, err := http.Post(fmt.Sprintf("%s/v1/jobs/%d/finish", ts.URL, v.ID), "", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	waitStatus(t, ts.URL, v.ID, "done")
+	exp := scrapeMetrics(t, ts.URL)
+	if got, _ := exp.Value(`consumelocald_journal_records_total{type="finished"}`); got != 1 {
+		t.Fatalf("finished records committed when the job reads done = %g, want 1", got)
+	}
+	var stored storedResult
+	if ok, err := srv.store.Get(v.ID, &stored); err != nil || !ok || stored.Status != "done" {
+		t.Fatalf("stored result when the job reads done: found %v, status %q, err %v", ok, stored.Status, err)
+	}
+}
+
 // TestOnlineCompaction exercises the background size-threshold pass
 // while the daemon serves: a first ingest stream finishes (its batch
 // records become foldable into the checkpoint), a second stream's

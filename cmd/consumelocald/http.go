@@ -62,7 +62,6 @@ func (sp replaySpec) options() []consumelocal.Option {
 		consumelocal.WithSimConfig(sp.cfg.Sim),
 		consumelocal.WithWindow(sp.cfg.WindowSec),
 		consumelocal.WithWorkers(sp.cfg.Workers),
-		consumelocal.WithSnapshotBuffer(sp.cfg.SnapshotBuffer),
 	}
 }
 
@@ -350,7 +349,7 @@ func (s *server) handleReplay(w http.ResponseWriter, r *http.Request) {
 	j.mu.Unlock()
 	sink.start(j.id)
 
-	// Snapshot lines stream from the replay's pump goroutine; wait for
+	// Snapshot lines stream from the replay's feed goroutine; wait for
 	// the job to settle before writing the closing line (no writes
 	// interleave — sinks finish before the status transition lands).
 	// The wait does not bail on r.Context().Done(): the request context

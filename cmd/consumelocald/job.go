@@ -135,36 +135,24 @@ func (j *job) progress() (pushed, watermark int64) {
 	return j.ingest.Pushed(), j.ingest.Watermark()
 }
 
-// pump follows the replay to completion: snapshot history grows as the
-// job runs (broadcast to every follower), and the terminal status is
-// settled from the replay outcome.
+// pump waits for the replay to finish and settles the job's terminal
+// status from its outcome. The snapshot history grows meanwhile: the job
+// is the last sink of its own replay (see Snapshot).
 func (j *job) pump() {
-	for snap := range j.replay.Snapshots() {
-		j.record(snap)
-	}
 	res, err := j.replay.Result()
 
 	j.mu.Lock()
+	status, errMsg := "done", ""
 	switch {
 	case err == nil:
-		j.status = "done"
-		j.result = res
 	case errors.Is(err, context.Canceled):
-		j.status = "cancelled"
-		j.errMsg = err.Error()
+		status, errMsg = "cancelled", err.Error()
 		if j.idleFired {
-			j.errMsg = "ingest stream idle: the producer pushed nothing before the idle deadline; job cancelled"
+			errMsg = "ingest stream idle: the producer pushed nothing before the idle deadline; job cancelled"
 		}
 	default:
-		j.status = "failed"
-		j.errMsg = err.Error()
+		status, errMsg = "failed", err.Error()
 	}
-	// The interrupt closure pins the submitting request's connection
-	// (ResponseController and buffers); drop it so a settled job in the
-	// retained registry does not keep up to 32 dead connections alive.
-	j.interrupt = nil
-	j.broadcastLocked()
-	status, errMsg := j.status, j.errMsg
 	j.mu.Unlock()
 
 	if j.idleTimer != nil {
@@ -174,10 +162,21 @@ func (j *job) pump() {
 		j.cleanup()
 		j.cleanup = nil
 	}
-	// Persist the terminal state: a done job's full result document
+	// Persist the terminal state before publishing it, so no client sees
+	// a status a crash could take back: a done job's full result document
 	// first, then the journalled terminal record — the order that keeps
 	// "journal says done" implying "the store can serve it".
-	j.persistFinished()
+	j.persistFinished(status, errMsg, res)
+
+	j.mu.Lock()
+	j.status, j.errMsg, j.result = status, errMsg, res
+	// The interrupt closure pins the submitting request's connection
+	// (ResponseController and buffers); drop it so a settled job in the
+	// retained registry does not keep up to 32 dead connections alive.
+	j.interrupt = nil
+	j.broadcastLocked()
+	j.mu.Unlock()
+
 	// Fold the stream's stall total into the retired accumulator after
 	// cleanup aborted the queue, so the live sum never counts a stall
 	// that lands between retirement and the abort.
@@ -191,9 +190,10 @@ func (j *job) pump() {
 		slog.Duration("ran", time.Since(j.started)))
 }
 
-// record appends one snapshot to the job's retained history and wakes
-// its followers.
-func (j *job) record(snap engine.Snapshot) {
+// Snapshot implements consumelocal.Sink: it appends one snapshot to the
+// job's retained history and wakes its followers. It runs on the
+// replay's feed goroutine, after every other sink.
+func (j *job) Snapshot(snap engine.Snapshot) error {
 	t0 := time.Now()
 	j.mu.Lock()
 	j.snaps = append(j.snaps, snap)
@@ -208,7 +208,12 @@ func (j *job) record(snap engine.Snapshot) {
 	j.broadcastLocked()
 	j.mu.Unlock()
 	j.srv.met.snapshotEmit.Observe(time.Since(t0).Seconds())
+	return nil
 }
+
+// Finish implements consumelocal.Sink; pump settles the job from the
+// replay's Result instead.
+func (j *job) Finish(*sim.Result, error) error { return nil }
 
 // follow replays the job's snapshot history through emit — past entries
 // first, then live ones as they land — until the job finishes or ctx is

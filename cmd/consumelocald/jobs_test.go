@@ -480,7 +480,7 @@ func TestFollowAcrossEviction(t *testing.T) {
 	}
 
 	// push appends the snapshot and evicts the history down to keep
-	// entries, exactly as pump does when maxJobSnapshots overflows.
+	// entries, exactly as Snapshot does when maxJobSnapshots overflows.
 	push := func(idx, keep int) {
 		j.mu.Lock()
 		j.snaps = append(j.snaps, engine.Snapshot{Index: idx})

@@ -279,31 +279,33 @@ func (s *server) startJob(ctx context.Context, sp replaySpec, src consumelocal.S
 // resumed from the journal. A refused replay runs cleanup. The caller
 // gives the job its identity and starts its pump.
 func (s *server) launch(ctx context.Context, sp replaySpec, src consumelocal.Source, cleanup func(), extra ...consumelocal.Option) (*job, error) {
+	j := &job{
+		name:     sp.name,
+		kind:     sp.kind,
+		srv:      s,
+		started:  time.Now().UTC(),
+		cleanup:  cleanup,
+		status:   "running",
+		changed:  make(chan struct{}),
+		rawQuery: sp.rawQuery,
+	}
 	// Every job records into the daemon's shared per-stage set, so
-	// /metrics exposes daemon-wide source/settle/emit totals.
+	// /metrics exposes daemon-wide source/settle/emit totals. The job is
+	// its replay's last sink, after extra ones (the synchronous stream).
 	opts := append(sp.options(), consumelocal.WithReplayMetrics(s.met.replay))
-	rep, err := consumelocal.Replay(ctx, src, append(opts, extra...)...)
+	opts = append(append(opts, extra...), consumelocal.WithSink(j))
+	rep, err := consumelocal.Replay(ctx, src, opts...)
 	if err != nil {
 		if cleanup != nil {
 			cleanup()
 		}
 		return nil, err
 	}
-	j := &job{
-		name:    sp.name,
-		kind:    sp.kind,
-		srv:     s,
-		started: time.Now().UTC(),
-		// rep.Meta was captured synchronously by Replay before the engine
-		// goroutines began consuming src; reading src.Meta() here instead
-		// would race any Source whose metadata is not an immutable field.
-		meta:     rep.Meta(),
-		replay:   rep,
-		cleanup:  cleanup,
-		status:   "running",
-		changed:  make(chan struct{}),
-		rawQuery: sp.rawQuery,
-	}
+	j.replay = rep
+	// rep.Meta was captured synchronously by Replay before the engine
+	// goroutines began consuming src; reading src.Meta() here instead
+	// would race any Source whose metadata is not an immutable field.
+	j.meta = rep.Meta()
 	if j.name == "" {
 		j.name = j.meta.Name
 	}

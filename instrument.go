@@ -1,9 +1,7 @@
 package consumelocal
 
 import (
-	"context"
-	"time"
-
+	"consumelocal/internal/engine"
 	"consumelocal/internal/obs"
 )
 
@@ -37,53 +35,5 @@ func WithInstrumentation(reg *Metrics) Option {
 // instrumentation set — the form a daemon uses to share one set across
 // every job it runs.
 func WithReplayMetrics(m *obs.ReplayMetrics) Option {
-	return func(o *replayOptions) {
-		o.stats = m
-		o.cfg.Stats = m
-	}
-}
-
-// timedSource wraps a Source, accumulating read time and session counts
-// into the job's instrumentation set.
-type timedSource struct {
-	src Source
-	m   *obs.ReplayMetrics
-}
-
-func (t *timedSource) Meta() TraceMeta { return t.src.Meta() }
-
-func (t *timedSource) Next() (Session, error) {
-	t0 := time.Now()
-	s, err := t.src.Next()
-	t.m.SourceReadSeconds.Add(time.Since(t0).Seconds())
-	if err == nil {
-		t.m.SourceSessions.Inc()
-	}
-	return s, err
-}
-
-// timedLiveSource additionally preserves the LiveSource extension, so
-// instrumenting an ingest-fed replay keeps watermark-driven settlement.
-type timedLiveSource struct {
-	timedSource
-	live LiveSource
-}
-
-func (t *timedLiveSource) NextEvent(ctx context.Context) (SourceEvent, error) {
-	t0 := time.Now()
-	ev, err := t.live.NextEvent(ctx)
-	t.m.SourceReadSeconds.Add(time.Since(t0).Seconds())
-	if err == nil && !ev.Mark {
-		t.m.SourceSessions.Inc()
-	}
-	return ev, err
-}
-
-// instrumentSource wraps src with stage timing, preserving the
-// LiveSource extension when present.
-func instrumentSource(src Source, m *obs.ReplayMetrics) Source {
-	if live, ok := src.(LiveSource); ok {
-		return &timedLiveSource{timedSource: timedSource{src: src, m: m}, live: live}
-	}
-	return &timedSource{src: src, m: m}
+	return func(c *engine.Config) { c.Stats = m }
 }

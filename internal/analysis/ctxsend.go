@@ -16,7 +16,7 @@ import (
 // explicit //consumelocal:ignore ctxsend waiver justifying why it
 // cannot stall cancellation.
 //
-// This is the invariant that keeps StreamContext's promise — "every
+// This is the invariant that keeps engine.Stream's promise — "every
 // pipeline goroutine exits even if the snapshot consumer has walked
 // away" — true as the engine grows workers: a raw channel op in a ctx
 // function is exactly how a cancelled replay ends up wedged.

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"context"
 	"testing"
 
 	"consumelocal/internal/sim"
@@ -46,7 +47,7 @@ func BenchmarkShardBatchFeed(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		run, err := Stream(TraceSource(tr), cfg)
+		run, err := Stream(context.Background(), TraceSource(tr), cfg)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -37,20 +37,19 @@ func TestStreamContextCancelReleasesPipeline(t *testing.T) {
 	tr := testTrace(t)
 	cfg := DefaultConfig(1.0)
 	cfg.WindowSec = 3600
-	cfg.SnapshotBuffer = 1
 	cfg.Workers = 4
 
 	baseline := runtime.NumGoroutine()
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 
-	run, err := StreamContext(ctx, TraceSource(tr), cfg)
+	run, err := Stream(ctx, TraceSource(tr), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Receive one snapshot so the pipeline is demonstrably mid-flight,
-	// then abandon the run: with a one-snapshot buffer the feed stalls on
-	// the snapshot channel almost immediately.
+	// then abandon the run: the feed stalls on the snapshot channel once
+	// its buffer fills, a few windows into the 120-window trace.
 	if _, ok := <-run.Snapshots(); !ok {
 		t.Fatal("no snapshots before cancellation")
 	}
@@ -72,23 +71,20 @@ func TestStreamContextCancelReleasesPipeline(t *testing.T) {
 }
 
 // TestStreamContextPreCancelled: a replay started under an already
-// cancelled context must fail promptly without producing a result.
+// cancelled context fails synchronously with the cancellation, starting
+// no run and no goroutine.
 func TestStreamContextPreCancelled(t *testing.T) {
 	tr := testTrace(t)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 
 	baseline := runtime.NumGoroutine()
-	run, err := StreamContext(ctx, TraceSource(tr), DefaultConfig(1.0))
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := run.Result()
+	run, err := Stream(ctx, TraceSource(tr), DefaultConfig(1.0))
 	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("Result = %v, want context.Canceled", err)
+		t.Fatalf("Stream = %v, want context.Canceled", err)
 	}
-	if res != nil {
-		t.Fatal("cancelled run produced a result")
+	if run != nil {
+		t.Fatal("cancelled Stream returned a run")
 	}
 	waitForGoroutines(t, baseline)
 }
@@ -97,7 +93,7 @@ func TestStreamContextPreCancelled(t *testing.T) {
 // cancelled must not disturb a normal run.
 func TestStreamContextCompletesUncancelled(t *testing.T) {
 	tr := testTrace(t)
-	want, err := Stream(TraceSource(tr), DefaultConfig(1.0))
+	want, err := Stream(context.Background(), TraceSource(tr), DefaultConfig(1.0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,7 +102,7 @@ func TestStreamContextCompletesUncancelled(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	run, err := StreamContext(context.Background(), TraceSource(tr), DefaultConfig(1.0))
+	run, err := Stream(context.Background(), TraceSource(tr), DefaultConfig(1.0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,7 +164,7 @@ func TestStreamContextCancelUnblocksIdleLiveSource(t *testing.T) {
 		NumContent: 2,
 		NumISPs:    1,
 	}}
-	run, err := StreamContext(ctx, src, DefaultConfig(1.0))
+	run, err := Stream(ctx, src, DefaultConfig(1.0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,7 +198,7 @@ func TestStreamContextPrefersCancellationOverSourceError(t *testing.T) {
 		},
 		cancel: cancel,
 	}
-	run, err := StreamContext(ctx, src, DefaultConfig(1.0))
+	run, err := Stream(ctx, src, DefaultConfig(1.0))
 	if err != nil {
 		t.Fatal(err)
 	}

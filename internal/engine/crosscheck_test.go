@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"testing"
@@ -178,7 +179,7 @@ func TestStreamMatchesBatch(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			run, err := Stream(TraceSource(tr), Config{Sim: simCfg, Workers: 3})
+			run, err := Stream(context.Background(), TraceSource(tr), Config{Sim: simCfg, Workers: 3})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -200,7 +201,7 @@ func TestStreamDeterministicAcrossWorkers(t *testing.T) {
 
 	var reference *sim.Result
 	for _, workers := range []int{1, 2, 5, 8} {
-		run, err := Stream(TraceSource(tr), Config{Sim: cfg, Workers: workers})
+		run, err := Stream(context.Background(), TraceSource(tr), Config{Sim: cfg, Workers: workers})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -234,7 +235,7 @@ func TestStreamFromScanner(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	run, err := Stream(sc, DefaultConfig(1.0))
+	run, err := Stream(context.Background(), sc, DefaultConfig(1.0))
 	if err != nil {
 		t.Fatal(err)
 	}

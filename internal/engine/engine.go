@@ -20,10 +20,12 @@
 // independent, so the partition is exact — and results merge in
 // deterministic key order, so per-swarm statistics and the total are
 // invariant to the worker count. Progress is reported as windowed
-// Snapshot values over a bounded channel: when the consumer lags, the
-// pipeline blocks all the way back to the input reader (backpressure),
-// keeping memory bounded by the active-session population rather than
-// the trace length.
+// Snapshot values, handed by the feed goroutine to every attached Sink
+// and then to a bounded channel: when a sink or the channel consumer
+// lags, the pipeline blocks all the way back to the input reader
+// (backpressure), keeping memory bounded by the active-session
+// population rather than the trace length. Run is the one handle on a
+// replay in progress: the library's consumelocal.Job is this type.
 package engine
 
 import (
@@ -34,6 +36,7 @@ import (
 	"runtime"
 	"sort"
 	"sync"
+	"time"
 
 	"consumelocal/internal/obs"
 	"consumelocal/internal/sim"
@@ -55,16 +58,39 @@ type Config struct {
 	// partitioned across by swarm key. Defaults to GOMAXPROCS, capped at
 	// 64.
 	Workers int
-	// SnapshotBuffer bounds the snapshot channel. When the consumer lags
-	// by more than this many windows the pipeline blocks — backpressure
-	// propagates through the workers to the input reader. Defaults to 4.
-	SnapshotBuffer int
-	// Stats, when non-nil, receives per-stage instrumentation: workers
-	// time every settlement, both the Advance an arriving session makes
-	// and each window mark. That costs two clock reads per session and
-	// per mark, and one atomic add per mark; without Stats the clock is
-	// never read.
+	// Sinks observe the run in order, each snapshot ahead of the
+	// Snapshots channel (see Sink).
+	Sinks []Sink
+	// Stats, when non-nil, receives per-stage instrumentation: the feed
+	// times every source read and every snapshot hand-off (sinks plus
+	// channel), and workers time every settlement, both the Advance an
+	// arriving session makes and each window mark. That costs two clock
+	// reads per session on each of the read and settle stages plus two
+	// per window mark; without Stats the clock is never read.
 	Stats *obs.ReplayMetrics
+}
+
+// snapshotBuffer bounds the Snapshots channel: a consumer lagging by
+// more than this many windows stalls the feed, and backpressure
+// propagates through the workers to the input reader. A few windows of
+// slack absorb a consumer's per-window jitter, while a stalled consumer
+// pins no more than a handful of snapshots.
+const snapshotBuffer = 4
+
+// Sink observes a run from the side: every windowed snapshot, then the
+// final outcome exactly once. Sinks run on the feed goroutine, each
+// snapshot reaching every sink before the Snapshots channel — a slow
+// sink slows the replay (sinks are part of the pipeline, not a lossy
+// tap), and the first sink error aborts it: a failed sink gets no
+// further snapshots.
+type Sink interface {
+	// Snapshot consumes one windowed progress report.
+	Snapshot(Snapshot) error
+	// Finish is called once, after the last snapshot and while
+	// Snapshots is still open, with the final outcome: (result, nil) on
+	// success, (nil, err) on failure or cancellation. An error fails an
+	// otherwise-successful run.
+	Finish(*sim.Result, error) error
 }
 
 // DefaultConfig returns the paper's simulation configuration at the
@@ -84,9 +110,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Workers > 64 {
 		c.Workers = 64
-	}
-	if c.SnapshotBuffer <= 0 {
-		c.SnapshotBuffer = 4
 	}
 	return c
 }
@@ -120,23 +143,47 @@ type Snapshot struct {
 	Final bool `json:"final,omitempty"`
 }
 
-// Run is a streaming replay in progress. Consumers must drain
-// Snapshots() — or call Result(), which drains internally — or the
-// bounded pipeline stalls by design.
+// Run is a streaming replay in progress, started by Stream. Consumers
+// range Snapshots or call Result, which drains internally; a run that
+// is neither drained nor cancelled stalls once the snapshot buffer
+// fills (backpressure). Cancel releases every pipeline goroutine.
 type Run struct {
 	meta      trace.Meta
+	cancel    context.CancelFunc
 	snapshots chan Snapshot
 	done      chan struct{}
-	result    *sim.Result
-	err       error
+	// result and err are written by the feed before it closes done and
+	// read only after done is closed, so they need no lock.
+	result *sim.Result
+	err    error
 }
 
 // Meta returns the trace metadata of the stream being replayed.
 func (r *Run) Meta() trace.Meta { return r.meta }
 
 // Snapshots returns the windowed progress channel. It is closed after
-// the final snapshot.
+// the final snapshot — or early, when the run is cancelled or fails.
 func (r *Run) Snapshots() <-chan Snapshot { return r.snapshots }
+
+// Done returns a channel closed when the run has fully unwound and
+// Result/Err are final.
+func (r *Run) Done() <-chan struct{} { return r.done }
+
+// Cancel aborts the replay: the pipeline unwinds promptly, Snapshots
+// closes, and Result reports context.Canceled. Safe to call repeatedly
+// and after completion.
+func (r *Run) Cancel() { r.cancel() }
+
+// Err returns the run's terminal error once it has finished — nil on
+// success, context.Canceled after Cancel — and nil while it still runs.
+func (r *Run) Err() error {
+	select {
+	case <-r.done:
+		return r.err
+	default:
+		return nil
+	}
+}
 
 // Result blocks until the stream drains and returns the complete
 // outcome, equivalent to sim.Run over the same trace and configuration.
@@ -149,24 +196,24 @@ func (r *Run) Result() (*sim.Result, error) {
 	return r.result, r.err
 }
 
-// Stream starts replaying src under cfg. It validates the configuration
-// and metadata synchronously, then runs the shard pipeline in the
-// background; progress arrives on Run.Snapshots and the final outcome
-// through Run.Result. The pipeline is never cancelled: consumers must
-// drain it. Use StreamContext when the replay should be abortable.
-func Stream(src Source, cfg Config) (*Run, error) {
-	return StreamContext(context.Background(), src, cfg)
-}
-
-// StreamContext is Stream under a context: when ctx is cancelled the
-// feed loop stops reading the source, stops emitting snapshots, closes
-// the worker inputs and unwinds, so every pipeline goroutine exits even
-// if the snapshot consumer has walked away. Run.Result then reports
+// Stream starts replaying src under ctx and cfg. A ctx already
+// cancelled returns ctx.Err() at once; the configuration and metadata
+// are validated synchronously too. The shard pipeline then runs in the
+// background: progress reaches the sinks and Run.Snapshots, the final
+// outcome Run.Result.
+//
+// When ctx is cancelled, or Run.Cancel is called, the feed loop stops
+// reading the source, stops emitting snapshots, closes the worker
+// inputs and unwinds, so every pipeline goroutine exits even if the
+// snapshot consumer has walked away. Run.Result then reports
 // ctx.Err(). Cancellation is observed between sessions and at every
 // channel hand-off; it cannot interrupt a plain Source blocked inside
 // Next (a LiveSource blocks ctx-aware in NextEvent, so live replays
 // unwind even while the producer is silent).
-func StreamContext(ctx context.Context, src Source, cfg Config) (*Run, error) {
+func Stream(ctx context.Context, src Source, cfg Config) (*Run, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
 	cfg = cfg.withDefaults()
 	if err := cfg.Sim.Validate(); err != nil {
 		return nil, err
@@ -175,9 +222,11 @@ func StreamContext(ctx context.Context, src Source, cfg Config) (*Run, error) {
 	if err := meta.Validate(); err != nil {
 		return nil, fmt.Errorf("engine: %w", err)
 	}
+	ctx, cancel := context.WithCancel(ctx)
 	r := &Run{
 		meta:      meta,
-		snapshots: make(chan Snapshot, cfg.SnapshotBuffer),
+		cancel:    cancel,
+		snapshots: make(chan Snapshot, snapshotBuffer),
 		done:      make(chan struct{}),
 	}
 	go r.feed(ctx, src, cfg)
@@ -254,11 +303,12 @@ type report struct {
 // received (and one report, on the final mark), so worker sends never
 // block. Workers therefore always drain their inputs and exit when the
 // feed closes them — the only goroutine that can stall is the feed
-// itself, on a worker input or the snapshot channel, and both of those
-// sends select on ctx so cancellation unwinds the whole pipeline.
+// itself, in a sink, on a worker input or on the snapshot channel; both
+// sends select on ctx, so cancellation unwinds the whole pipeline.
 func (r *Run) feed(ctx context.Context, src Source, cfg Config) {
 	defer close(r.done)
 	defer close(r.snapshots)
+	defer r.finish(cfg.Sinks)
 
 	inputs := make([]chan wmsg, cfg.Workers)
 	acks := make(chan ack, cfg.Workers)
@@ -361,14 +411,19 @@ func (r *Run) feed(ctx context.Context, src Source, cfg Config) {
 			Cumulative:    cum,
 			Final:         final,
 		}
-		select {
-		case r.snapshots <- snap:
-			return true
-		case <-ctx.Done():
-			// The consumer has walked away and cancelled: stop emitting.
-			ferr = ctx.Err()
-			return false
+		var t0 time.Time
+		if cfg.Stats != nil {
+			t0 = time.Now()
 		}
+		ferr = r.emit(ctx, snap, cfg.Sinks)
+		if cfg.Stats != nil {
+			// Emit time covers sink delivery and the (possibly
+			// backpressured) channel hand-off: the consumer-side stall an
+			// operator is usually hunting.
+			cfg.Stats.SinkEmitSeconds.Add(time.Since(t0).Seconds())
+			cfg.Stats.WindowsSettled.Inc()
+		}
+		return ferr == nil
 	}
 
 	// A LiveSource delivers watermark marks interleaved with sessions and
@@ -381,35 +436,44 @@ func (r *Run) feed(ctx context.Context, src Source, cfg Config) {
 			ferr = err
 			break
 		}
-		var s trace.Session
+		var t0 time.Time
+		if cfg.Stats != nil {
+			t0 = time.Now()
+		}
+		var ev Event
 		var err error
 		if isLive {
-			var ev Event
 			ev, err = live.NextEvent(ctx)
-			if err == nil && ev.Mark {
-				// The watermark promises no session will start before it:
-				// settle every reporting window the promise closes, then
-				// raise the ordering floor so a later session violating
-				// the promise is rejected like any out-of-order arrival.
-				wm := ev.WatermarkSec
-				if wm > r.meta.HorizonSec {
-					wm = r.meta.HorizonSec
-				}
-				for wm >= boundary {
-					if !flush(boundary, false) {
-						break
-					}
-					windowIdx++
-					boundary += cfg.WindowSec
-				}
-				if ev.WatermarkSec > prevStart {
-					prevStart = ev.WatermarkSec
-				}
-				continue
-			}
-			s = ev.Session
 		} else {
-			s, err = src.Next()
+			ev.Session, err = src.Next()
+		}
+		if cfg.Stats != nil {
+			// Read time includes waits on a live producer.
+			cfg.Stats.SourceReadSeconds.Add(time.Since(t0).Seconds())
+			if err == nil && !ev.Mark {
+				cfg.Stats.SourceSessions.Inc()
+			}
+		}
+		if err == nil && ev.Mark {
+			// The watermark promises no session will start before it:
+			// settle every reporting window the promise closes, then
+			// raise the ordering floor so a later session violating the
+			// promise is rejected like any out-of-order arrival.
+			wm := ev.WatermarkSec
+			if wm > r.meta.HorizonSec {
+				wm = r.meta.HorizonSec
+			}
+			for wm >= boundary {
+				if !flush(boundary, false) {
+					break
+				}
+				windowIdx++
+				boundary += cfg.WindowSec
+			}
+			if ev.WatermarkSec > prevStart {
+				prevStart = ev.WatermarkSec
+			}
+			continue
 		}
 		if err == io.EOF {
 			break
@@ -425,6 +489,7 @@ func (r *Run) feed(ctx context.Context, src Source, cfg Config) {
 			}
 			break
 		}
+		s := ev.Session
 		if err := r.meta.ValidateSession(sessionsSeen, s); err != nil {
 			ferr = fmt.Errorf("engine: %w", err)
 			break
@@ -498,6 +563,50 @@ func (r *Run) feed(ctx context.Context, src Source, cfg Config) {
 		return
 	}
 	r.result = mergeShards(shards, cfg, r.meta)
+}
+
+// emit hands snap to every sink, then to the Snapshots channel. It
+// returns the error that stops emission: the first sink failure, or the
+// cancellation — which also wins over a sink failing after it (e.g. a
+// response writer broken by the same disconnect that cancelled the
+// run).
+func (r *Run) emit(ctx context.Context, snap Snapshot, sinks []Sink) error {
+	for _, s := range sinks {
+		if err := s.Snapshot(snap); err != nil {
+			if cerr := ctx.Err(); cerr != nil {
+				return cerr
+			}
+			return fmt.Errorf("replay: sink: %w", err)
+		}
+	}
+	select {
+	case r.snapshots <- snap:
+		return nil
+	case <-ctx.Done():
+		// The consumer has walked away and cancelled: stop emitting.
+		return ctx.Err()
+	}
+}
+
+// finish hands the outcome the feed recorded to every sink, then
+// releases the run's context, which unregisters the finished run from
+// its parent so a long-lived parent does not accumulate completed
+// children. The feed defers it ahead of closing Snapshots, so Finish
+// runs while the channel is still open and must not try to drain it.
+func (r *Run) finish(sinks []Sink) {
+	defer r.cancel()
+	// Every sink observes the replay's own outcome; a sink failing in
+	// Finish must not change what the remaining sinks see, it only fails
+	// an otherwise-successful run afterwards.
+	var sinkErr error
+	for _, s := range sinks {
+		if err := s.Finish(r.result, r.err); err != nil && sinkErr == nil {
+			sinkErr = err
+		}
+	}
+	if r.err == nil && sinkErr != nil {
+		r.result, r.err = nil, sinkErr
+	}
 }
 
 // mergeShards assembles the final result: per-swarm statistics sorted by

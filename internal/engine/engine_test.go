@@ -1,9 +1,12 @@
 package engine
 
 import (
+	"context"
 	"io"
 	"strings"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"consumelocal/internal/sim"
 	"consumelocal/internal/trace"
@@ -28,7 +31,7 @@ func TestStreamSnapshots(t *testing.T) {
 	cfg.WindowSec = 6 * 3600
 	cfg.Workers = 2
 
-	run, err := Stream(TraceSource(tr), cfg)
+	run, err := Stream(context.Background(), TraceSource(tr), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,14 +92,14 @@ func TestStreamSnapshots(t *testing.T) {
 func TestStreamRejectsInvalidConfig(t *testing.T) {
 	tr := testTrace(t)
 	var cfg Config // no upload capacity at all
-	if _, err := Stream(TraceSource(tr), cfg); err == nil {
+	if _, err := Stream(context.Background(), TraceSource(tr), cfg); err == nil {
 		t.Fatal("expected config validation error")
 	}
 }
 
 func TestStreamRejectsInvalidMeta(t *testing.T) {
 	tr := &trace.Trace{HorizonSec: 0, NumUsers: 1, NumContent: 1, NumISPs: 1}
-	if _, err := Stream(TraceSource(tr), DefaultConfig(1.0)); err == nil {
+	if _, err := Stream(context.Background(), TraceSource(tr), DefaultConfig(1.0)); err == nil {
 		t.Fatal("expected meta validation error")
 	}
 }
@@ -110,7 +113,7 @@ func TestStreamPropagatesSessionErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	run, err := Stream(sc, DefaultConfig(1.0))
+	run, err := Stream(context.Background(), sc, DefaultConfig(1.0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,7 +127,7 @@ func TestStreamEmptyTrace(t *testing.T) {
 		Name: "empty", HorizonSec: 86400,
 		NumUsers: 1, NumContent: 1, NumISPs: 1,
 	}
-	run, err := Stream(TraceSource(tr), DefaultConfig(1.0))
+	run, err := Stream(context.Background(), TraceSource(tr), DefaultConfig(1.0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,29 +140,66 @@ func TestStreamEmptyTrace(t *testing.T) {
 	}
 }
 
-// TestStreamBackpressure checks that a slow consumer stalls the pipeline
-// rather than buffering unboundedly: with a one-window buffer, the
-// feeder cannot race ahead of the reader by more than the channel
-// capacity plus the in-flight worker queues.
+// countingSource counts the sessions the engine reads from a Source.
+type countingSource struct {
+	Source
+	reads atomic.Int64
+}
+
+func (c *countingSource) Next() (trace.Session, error) {
+	c.reads.Add(1)
+	return c.Source.Next()
+}
+
+// TestStreamBackpressure checks that a stalled consumer stalls the
+// pipeline rather than buffering unboundedly: once the consumer stops
+// after snapshot 0, the feed fills the snapshot buffer, settles one more
+// window and blocks handing it off, so it reads no further than the
+// session that closed that window. Draining then completes the run.
 func TestStreamBackpressure(t *testing.T) {
 	tr := testTrace(t)
 	cfg := DefaultConfig(1.0)
 	cfg.WindowSec = 3600
-	cfg.SnapshotBuffer = 1
 	cfg.Workers = 2
 
-	run, err := Stream(TraceSource(tr), cfg)
+	src := &countingSource{Source: TraceSource(tr)}
+	run, err := Stream(context.Background(), src, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Consume one snapshot, then let the pipeline fill; the run must
-	// still complete once draining resumes.
 	first, ok := <-run.Snapshots()
 	if !ok {
 		t.Fatal("no snapshots")
 	}
 	if first.Index != 0 {
 		t.Fatalf("first snapshot index = %d", first.Index)
+	}
+	// Stop consuming and wait for the read count to stop moving.
+	reads := src.reads.Load()
+	for deadline := time.Now().Add(5 * time.Second); ; {
+		time.Sleep(100 * time.Millisecond)
+		now := src.reads.Load()
+		if now == reads {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("feed still reading (%d sessions) with the consumer stalled", now)
+		}
+		reads = now
+	}
+	// Snapshots 1..snapshotBuffer fill the channel and the next one
+	// blocks: the feed has read the sessions starting in the first
+	// snapshotBuffer+2 windows, plus the one that triggered the blocked
+	// flush.
+	closed := int64(snapshotBuffer+2) * cfg.WindowSec
+	bound := int64(1)
+	for _, s := range tr.Sessions {
+		if s.StartSec < closed {
+			bound++
+		}
+	}
+	if reads > bound {
+		t.Fatalf("feed read %d sessions with the consumer stalled after window 0, want at most %d", reads, bound)
 	}
 	res, err := run.Result()
 	if err != nil {
@@ -182,7 +222,7 @@ func TestStreamSeedingAndQuantizeCombined(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	run, err := Stream(TraceSource(tr), Config{Sim: simCfg, Workers: 4})
+	run, err := Stream(context.Background(), TraceSource(tr), Config{Sim: simCfg, Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -92,7 +92,7 @@ func TestLiveSourceWatermarkSettlesIdleWindows(t *testing.T) {
 	cfg.WindowSec = 3600
 	cfg.Workers = 2
 
-	run, err := StreamContext(context.Background(), src, cfg)
+	run, err := Stream(context.Background(), src, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,7 +154,7 @@ func TestLiveSourceWatermarkBeyondHorizon(t *testing.T) {
 	cfg.WindowSec = 3600
 	cfg.Workers = 1
 
-	run, err := StreamContext(context.Background(), src, cfg)
+	run, err := Stream(context.Background(), src, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,7 +188,7 @@ func TestLiveSourceSessionBehindWatermarkRejected(t *testing.T) {
 			{Session: liveTestSession(1, 3600, 600)},
 		},
 	}
-	run, err := StreamContext(context.Background(), src, DefaultConfig(1.0))
+	run, err := Stream(context.Background(), src, DefaultConfig(1.0))
 	if err != nil {
 		t.Fatal(err)
 	}

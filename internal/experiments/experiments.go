@@ -21,6 +21,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"strconv"
@@ -37,7 +38,7 @@ import (
 // window spanning the horizon: the experiments read only the final
 // result, whose per-swarm tallies and total equal sim.Run bit for bit.
 func replay(tr *trace.Trace, cfg sim.Config) (*sim.Result, error) {
-	run, err := engine.Stream(engine.TraceSource(tr), engine.Config{Sim: cfg, WindowSec: tr.HorizonSec})
+	run, err := engine.Stream(context.Background(), engine.TraceSource(tr), engine.Config{Sim: cfg, WindowSec: tr.HorizonSec})
 	if err != nil {
 		return nil, err
 	}

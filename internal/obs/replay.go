@@ -1,12 +1,14 @@
 package obs
 
 // ReplayMetrics is the replay pipeline's instrumentation set,
-// registered on one Registry by NewReplayMetrics and threaded through
-// consumelocal.WithInstrumentation: per-stage wall-clock totals (source
-// read, engine settle, sink emit) and per-job throughput counters.
-// Counters aggregate correctly when many jobs share one set (the
-// consumelocald daemon registers exactly one). A live ingest stream's
-// backpressure figures come from its IngestSource accessors instead.
+// registered on one Registry by NewReplayMetrics and handed to the
+// engine through consumelocal.WithInstrumentation: per-stage wall-clock
+// totals (source read, engine settle, sink emit) and per-job throughput
+// counters. The engine's feed loop times reads and emits while its
+// workers time settlement, all at once. Counters aggregate correctly
+// when many jobs share one set (the consumelocald daemon registers
+// exactly one). A live ingest stream's backpressure figures come from
+// its IngestSource accessors instead.
 type ReplayMetrics struct {
 	// SourceReadSeconds accumulates wall-clock time spent reading the
 	// Source (Next/NextEvent), including time blocked waiting for a live
@@ -18,8 +20,9 @@ type ReplayMetrics struct {
 	// spend settling activity intervals, both as sessions arrive and at
 	// window marks (summed across workers, so it can exceed wall-clock).
 	SettleSeconds *Counter
-	// SinkEmitSeconds accumulates wall-clock time spent delivering
-	// snapshots to attached sinks and the Job channel.
+	// SinkEmitSeconds accumulates wall-clock time the feed spends
+	// handing each snapshot to the attached sinks and then the Job
+	// channel.
 	SinkEmitSeconds *Counter
 	// WindowsSettled counts snapshots emitted.
 	WindowsSettled *Counter

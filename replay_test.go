@@ -121,7 +121,7 @@ func TestReplayCancelMidStream(t *testing.T) {
 	baseline := runtime.NumGoroutine()
 
 	job, err := consumelocal.Replay(context.Background(), consumelocal.TraceSource(tr),
-		consumelocal.WithWindow(3600), consumelocal.WithSnapshotBuffer(1), consumelocal.WithWorkers(4))
+		consumelocal.WithWindow(3600), consumelocal.WithWorkers(4))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,7 +167,7 @@ func TestReplayParentContextCancellation(t *testing.T) {
 	tr := replayTestTrace(t)
 	ctx, cancel := context.WithCancel(context.Background())
 	job, err := consumelocal.Replay(ctx, consumelocal.TraceSource(tr),
-		consumelocal.WithWindow(3600), consumelocal.WithSnapshotBuffer(1))
+		consumelocal.WithWindow(3600))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -301,13 +301,27 @@ func TestReplaySinksRunWithoutConsumer(t *testing.T) {
 	}
 }
 
-type failingSink struct{ calls int }
+// failingSink fails every snapshot, the first one only after a delay
+// that lets the engine settle and buffer later windows meanwhile, and
+// records the calls it gets.
+type failingSink struct {
+	calls, finishes int
+	finishErr       error
+}
 
 func (f *failingSink) Snapshot(consumelocal.StreamSnapshot) error {
 	f.calls++
+	if f.calls == 1 {
+		time.Sleep(50 * time.Millisecond)
+	}
 	return errors.New("sink exploded")
 }
-func (f *failingSink) Finish(*consumelocal.SimResult, error) error { return nil }
+
+func (f *failingSink) Finish(_ *consumelocal.SimResult, err error) error {
+	f.finishes++
+	f.finishErr = err
+	return nil
+}
 
 func TestReplaySinkErrorAbortsJob(t *testing.T) {
 	tr := replayTestTrace(t)
@@ -323,6 +337,14 @@ func TestReplaySinkErrorAbortsJob(t *testing.T) {
 	}
 	if res != nil {
 		t.Fatal("failed job produced a result")
+	}
+	// The failed sink gets nothing more, not even the windows settled
+	// while it was failing, and still sees the outcome once.
+	if sink.calls != 1 {
+		t.Fatalf("failed sink got %d Snapshot calls, want 1", sink.calls)
+	}
+	if sink.finishes != 1 || sink.finishErr == nil || !strings.Contains(sink.finishErr.Error(), "sink exploded") {
+		t.Fatalf("Finish ran %d times with %v, want once with the sink error", sink.finishes, sink.finishErr)
 	}
 }
 

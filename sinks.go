@@ -7,21 +7,17 @@ import (
 	"net/http"
 	"sync"
 
+	"consumelocal/internal/engine"
 	"consumelocal/internal/obs"
 )
 
 // Sink observes a replay job from the side: every windowed snapshot, and
-// then the final outcome exactly once. Sinks run on the job's pump
-// goroutine — a slow sink slows the replay (that is the point: sinks are
-// part of the pipeline, not a lossy tap), and a sink error aborts it.
-type Sink interface {
-	// Snapshot consumes one windowed progress report.
-	Snapshot(StreamSnapshot) error
-	// Finish is called once, after the last snapshot, with the final
-	// outcome: (result, nil) on success, (nil, err) on failure or
-	// cancellation.
-	Finish(*SimResult, error) error
-}
+// then the final outcome exactly once, while Job.Snapshots is still
+// open. Sinks run on the engine's feed goroutine, ahead of
+// Job.Snapshots — a slow sink slows the replay (that is the point: sinks
+// are part of the pipeline, not a lossy tap), and a sink error aborts
+// it: the failed sink gets no further snapshots.
+type Sink = engine.Sink
 
 // NDJSONSink streams every snapshot as one JSON line to w — the format
 // consumelocald serves — and, on success, a closing summary line:
@@ -75,8 +71,8 @@ func (s *tsvSink) Snapshot(snap StreamSnapshot) error {
 func (s *tsvSink) Finish(*SimResult, error) error { return nil }
 
 // MetricsSink exposes the latest replay state as Prometheus-style
-// gauges. It is safe for concurrent use: the job's pump goroutine writes
-// while any number of scrapers read, so one sink can back a live
+// gauges. It is safe for concurrent use: the replay's feed goroutine
+// writes while any number of scrapers read, so one sink can back a live
 // /metrics endpoint for a running replay (it implements http.Handler).
 type MetricsSink struct {
 	mu      sync.Mutex
