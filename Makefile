@@ -29,11 +29,12 @@ test:
 	$(GO) test ./...
 
 ## race: race-check the concurrent subsystems (Replay API layer,
-## streaming engine, stage counters, reference simulator, daemon job
-## manager, job journal, load generator, incremental swarm)
+## streaming engine, stage counters, reference simulator, matching
+## policies, daemon job manager, job journal, load generator,
+## incremental swarm)
 race:
-	$(GO) test -race . ./internal/engine/... ./internal/obs/... ./internal/sim/... ./cmd/consumelocald/... \
-		./internal/joblog/... ./internal/loadgen/... ./internal/swarm/...
+	$(GO) test -race . ./internal/engine/... ./internal/obs/... ./internal/sim/... ./internal/matching/... \
+		./cmd/consumelocald/... ./internal/joblog/... ./internal/loadgen/... ./internal/swarm/...
 
 ## bench: the reproduction's benchmark report at reduced scale (the
 ## gated end-to-end benchmark is perfbench/, see BENCHMARK.json)
@@ -62,10 +63,11 @@ chaos-smoke:
 	./chaos-smoke.sh
 
 ## microbench: the hot-path micro-benchmarks (tracker settlement, batch
-## sweeper, matching, CSV fast lane, shard batch feed) at full bench time
+## sweeper, matching and booking on the gated workloads' interval
+## shapes, CSV fast lane, shard batch feed) at full bench time
 microbench:
-	$(GO) test -run '^$$' -bench 'BenchmarkTrackerAdvance|BenchmarkSweeper|BenchmarkScannerScan|BenchmarkShardBatchFeed|BenchmarkMatchInto' \
-		./internal/swarm/ ./internal/trace/ ./internal/engine/ ./internal/matching/
+	$(GO) test -run '^$$' -bench 'BenchmarkTrackerAdvance|BenchmarkSweeper|BenchmarkScannerScan|BenchmarkShardBatchFeed|BenchmarkMatchInto|BenchmarkBookInterval' \
+		./internal/swarm/ ./internal/trace/ ./internal/engine/ ./internal/matching/ ./internal/sim/
 
 ## metrics-smoke: boot a real consumelocald, run a generator job via
 ## the HTTP API, scrape /metrics and require the documented series,

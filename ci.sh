@@ -29,9 +29,12 @@ fmt_drift="$(gofmt -s -l .)"
 test -z "$fmt_drift"
 go test ./...
 # internal/obs is in the set because the replay stage counters are
-# written from the engine's feed goroutine and its workers at once.
+# written from the engine's feed goroutine and its workers at once, and
+# internal/matching because every engine worker matches concurrently
+# through the policies' pooled scratch.
 go test -race . ./internal/engine/... ./cmd/consumelocald/... ./internal/obs/... \
-	./internal/joblog/... ./internal/loadgen/... ./internal/sim/... ./internal/swarm/...
+	./internal/joblog/... ./internal/loadgen/... ./internal/sim/... ./internal/swarm/... \
+	./internal/matching/...
 # Metrics lint: every /metrics scrape must parse under the exposition
 # linter (HELP/TYPE metadata, histogram suffixes, no duplicate series)
 # and expose the documented families — see docs/OBSERVABILITY.md.

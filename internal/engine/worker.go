@@ -17,23 +17,23 @@ import (
 // the tracker settles the member's end event, which is what keeps the
 // engine out-of-core.
 //
-// The matching inputs that are constant for the member's lifetime —
-// topology endpoint, upload rate, demand rate (zero for seeders) — are
-// computed once at admission instead of once per activity interval, so
-// interval settlement multiplies cached rates by the interval length and
-// nothing else.
+// The matching and booking inputs that are constant for the member's
+// lifetime — topology endpoint, upload rate, demand rate (zero for
+// seeders), user ledger — are resolved once at admission instead of once
+// per activity interval, so interval settlement multiplies cached rates
+// by the interval length and makes no map lookup.
 type member struct {
 	s         trace.Session
 	peer      matching.Peer
 	upBps     float64
 	demandBps float64
+	ledger    *sim.UserStats // nil without user tracking
 }
 
 // swarmState is one swarm's incremental state on its owning worker. It
-// implements swarm.Sink (interval emission, member release) and
-// sim.SessionSource (member-index resolution for booking) directly, so
-// the settlement hot path runs through method dispatch with no per-swarm
-// closures.
+// implements swarm.Sink (interval emission, member release) directly,
+// so the settlement hot path runs through method dispatch with no
+// per-swarm closures.
 type swarmState struct {
 	w       *worker
 	key     swarm.Key
@@ -63,10 +63,6 @@ func (st *swarmState) Closed(index int) {
 	st.free = append(st.free, int32(index))
 	st.w.active--
 }
-
-// SessionAt resolves a tracker member index to its session
-// (sim.SessionSource).
-func (st *swarmState) SessionAt(index int) trace.Session { return st.members[index].s }
 
 // alloc places a member into a recycled or fresh slot and returns its
 // tracker index.
@@ -108,9 +104,10 @@ type worker struct {
 	settling time.Duration
 
 	// scratch buffers reused across intervals, as in sim.Run.
-	peers   []matching.Peer
-	demands []float64
-	caps    []float64
+	peers    []matching.Peer
+	demands  []float64
+	caps     []float64
+	accounts []sim.Account
 	// alloc is the worker-owned matching result, recycled through
 	// Policy.MatchInto each interval.
 	alloc matching.Allocation
@@ -189,6 +186,7 @@ func (w *worker) session(it *item) {
 		peer:      w.cfg.PeerEndpoint(s, st.key),
 		upBps:     w.cfg.UploadBpsOf(s),
 		demandBps: s.Bitrate.BitsPerSecond(),
+		ledger:    w.booker.Ledger(s.UserID),
 	}
 	idx := st.alloc(m)
 	st.tracker.Schedule(s.StartSec, s.EndSec(), idx)
@@ -243,9 +241,9 @@ func (w *worker) mark(until int64, final bool) {
 }
 
 // settle matches one completed activity interval and books the outcome —
-// the streaming twin of sim.Run's runInterval/book, performing
-// the identical sequence of floating-point operations so per-swarm
-// tallies match sim.Run bit for bit.
+// the streaming twin of sim.Run's runInterval, performing the identical
+// sequence of floating-point operations so per-swarm tallies match
+// sim.Run bit for bit.
 //
 //consumelocal:hotpath
 //consumelocal:borrowed iv
@@ -261,6 +259,7 @@ func (w *worker) settle(st *swarmState, iv swarm.Interval) {
 	for slot, idx := range iv.Active {
 		m := &st.members[idx]
 		w.peers[slot] = m.peer
+		w.accounts[slot] = sim.Account{ISP: int(m.s.ISP), Ledger: m.ledger}
 		w.demands[slot] = m.demandBps * dur
 		cap := m.upBps * dur
 		w.caps[slot] = cap
@@ -274,7 +273,7 @@ func (w *worker) settle(st *swarmState, iv swarm.Interval) {
 		return
 	}
 
-	ivTally := w.booker.BookInterval(iv, &w.alloc, w.demands, st)
+	ivTally := w.booker.BookInterval(iv, &w.alloc, w.demands, w.accounts)
 	st.tally.Add(ivTally)
 	w.delta.Add(ivTally)
 }
@@ -298,14 +297,19 @@ func (w *worker) report() report {
 	return report{worker: w.id, stats: stats, days: w.booker.Days, users: w.booker.Users, err: w.err}
 }
 
-// resize grows the scratch buffers to hold n entries.
+// resize grows the scratch buffers to hold n entries, at least doubling
+// their capacity so a swarm growing one member at a time does not
+// reallocate them at every new size.
 func (w *worker) resize(n int) {
 	if cap(w.peers) < n {
-		w.peers = make([]matching.Peer, n)
-		w.demands = make([]float64, n)
-		w.caps = make([]float64, n)
+		c := max(n, 2*cap(w.peers))
+		w.peers = make([]matching.Peer, n, c)
+		w.demands = make([]float64, n, c)
+		w.caps = make([]float64, n, c)
+		w.accounts = make([]sim.Account, n, c)
 	}
 	w.peers = w.peers[:n]
 	w.demands = w.demands[:n]
 	w.caps = w.caps[:n]
+	w.accounts = w.accounts[:n]
 }

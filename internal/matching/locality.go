@@ -31,6 +31,8 @@ type groupPair struct {
 	idx    int32
 }
 
+// cmpGroupPair orders pairs by (k1, k2, idx). sortPairs falls back to it
+// for keys that do not fit a packed sort key.
 func cmpGroupPair(a, b groupPair) int {
 	if a.k1 != b.k1 {
 		if a.k1 < b.k1 {
@@ -53,13 +55,58 @@ func cmpGroupPair(a, b groupPair) int {
 	return 0
 }
 
+// A packed sort key holds one groupPair in a uint64: k1 and k2 in
+// keyGroupBits each, above keyIdxBits of idx, so integer order is
+// (k1, k2, idx) order. Session exchanges are 16-bit and an ISP-spanning
+// swarm on the London tree offsets them by at most 255×345, so the
+// simulator's keys stay below 2^18; anything wider takes the comparator
+// sort.
+const (
+	keyIdxBits   = 24
+	keyGroupBits = 20
+	keyIdxMax    = 1<<keyIdxBits - 1
+	keyGroupMax  = 1<<keyGroupBits - 1
+)
+
+// sortPairs orders pairs by (k1, k2, idx) — the permutation
+// slices.SortFunc(pairs, cmpGroupPair) yields, since idx is unique and
+// the order therefore total. When every field fits its packed width it
+// sorts one uint64 key per pair with slices.Sort, whose comparisons
+// inline, and unpacks the keys back in order; a negative or oversized
+// field takes the comparator sort. keys is the caller's pooled scratch.
+//
+//consumelocal:hotpath
+func sortPairs(pairs []groupPair, keys *[]uint64) {
+	ks := grown(keys, len(pairs))
+	for i, p := range pairs {
+		// Negative fields convert to huge unsigned values, so the upper
+		// bounds reject them too.
+		if uint64(p.k1) > keyGroupMax || uint64(p.k2) > keyGroupMax || uint64(p.idx) > keyIdxMax {
+			slices.SortFunc(pairs, cmpGroupPair)
+			return
+		}
+		ks[i] = uint64(p.k1)<<(keyGroupBits+keyIdxBits) | uint64(p.k2)<<keyIdxBits | uint64(p.idx)
+	}
+	slices.Sort(ks)
+	for i, k := range ks {
+		pairs[i] = groupPair{
+			k1:  int64(k >> (keyGroupBits + keyIdxBits)),
+			k2:  int64((k >> keyIdxBits) & keyGroupMax),
+			idx: int32(k & keyIdxMax),
+		}
+	}
+}
+
 // lfScratch is the reusable per-Match working state. Matching runs once
 // per activity interval — the single hottest call in both engines — so
 // its temporaries are pooled rather than reallocated per interval.
 type lfScratch struct {
 	residD, residC []float64
 	pairs          []groupPair
-	starts         []int32 // subgroup boundaries of the current cross pass
+	keys           []uint64 // packed sort keys (sortPairs)
+	popRank        []int32  // per peer: its PoP's run number in pass 2
+	popNext        []int32  // per PoP run: next free slot in pass 3
+	starts         []int32  // subgroup boundaries of the current cross pass
 	demand         []float64
 	capacity       []float64
 	served         []float64
@@ -76,10 +123,12 @@ func floats(buf *[]float64, n int) []float64 {
 }
 
 // grown returns a scratch slice of length n with arbitrary contents,
-// for callers that overwrite every element themselves.
-func grown(buf *[]float64, n int) []float64 {
+// for callers that overwrite every element themselves. Capacity at
+// least doubles on growth: a live swarm gains peers one interval at a
+// time, and growing to the exact size reallocated at every new peak.
+func grown[T any](buf *[]T, n int) []T {
 	if cap(*buf) < n {
-		*buf = make([]float64, n)
+		*buf = make([]T, n, max(n, 2*cap(*buf)))
 	}
 	return (*buf)[:n]
 }
@@ -131,16 +180,13 @@ func (LocalityFirst) MatchInto(alloc *Allocation, peers []Peer, demands, caps []
 	copy(residD, demands)
 	copy(residC, caps)
 
-	if cap(sc.pairs) < n {
-		sc.pairs = make([]groupPair, n)
-	}
-	pairs := sc.pairs[:n]
+	pairs := grown(&sc.pairs, n)
 
 	// Pass 1: within exchange points.
 	for i, p := range peers {
 		pairs[i] = groupPair{k1: int64(p.Exchange), idx: int32(i)}
 	}
-	slices.SortFunc(pairs, cmpGroupPair)
+	sortPairs(pairs, &sc.keys)
 	for s := 0; s < n; {
 		e := s + 1
 		for e < n && pairs[e].k1 == pairs[s].k1 {
@@ -155,26 +201,39 @@ func (LocalityFirst) MatchInto(alloc *Allocation, peers []Peer, demands, caps []
 
 	// Pass 2: across exchanges within each PoP. Sorting by (PoP,
 	// exchange, index) makes PoPs runs and their exchange subgroups
-	// sub-runs of the same ordering.
+	// sub-runs of the same ordering. The runs ascend by PoP, so each
+	// peer's run number is its PoP's rank, noted for pass 3.
 	for i, p := range peers {
 		pairs[i] = groupPair{k1: int64(p.PoP), k2: int64(p.Exchange), idx: int32(i)}
 	}
-	slices.SortFunc(pairs, cmpGroupPair)
+	sortPairs(pairs, &sc.keys)
+	popRank := grown(&sc.popRank, n)
+	popNext := sc.popNext[:0]
 	for s := 0; s < n; {
 		e := s + 1
 		for e < n && pairs[e].k1 == pairs[s].k1 {
 			e++
 		}
+		for _, m := range pairs[s:e] {
+			popRank[m.idx] = int32(len(popNext))
+		}
+		popNext = append(popNext, int32(s))
 		flows := crossMatch(sc, pairs[s:e], residD, residC)
 		record(alloc, energy.LayerPoP, flows, pairs[s:e], residD, residC, demands, caps)
 		s = e
 	}
+	sc.popNext = popNext
 
-	// Pass 3: across PoPs through the core.
+	// Pass 3: across PoPs through the core, members grouped by PoP in
+	// ascending index order. Pass 2 ranked the PoPs and counted their
+	// runs, so one counting pass over the peers in index order places
+	// each at its run's next free slot — the (PoP, index) order without a
+	// third sort.
 	for i, p := range peers {
-		pairs[i] = groupPair{k1: int64(p.PoP), k2: int64(p.PoP), idx: int32(i)}
+		r := popRank[i]
+		pairs[popNext[r]] = groupPair{k1: int64(p.PoP), k2: int64(p.PoP), idx: int32(i)}
+		popNext[r]++
 	}
-	slices.SortFunc(pairs, cmpGroupPair)
 	flows := crossMatch(sc, pairs, residD, residC)
 	record(alloc, energy.LayerCore, flows, pairs, residD, residC, demands, caps)
 

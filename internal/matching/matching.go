@@ -110,14 +110,17 @@ func validate(peers []Peer, demands, caps []float64) (totalDemand float64, err e
 // per-peer vectors are reused when they have capacity — the whole point
 // of the MatchInto path — and otherwise grown as one shared backing
 // allocation, so the legacy Match path still escapes a single slice per
-// interval rather than two.
+// interval rather than two. A recycled Allocation at least doubles its
+// capacity on growth, so a swarm gaining peers one interval at a time
+// does not reallocate at every new size.
 func (a *Allocation) reset(n int, totalDemand float64) {
 	a.LayerBits = [energy.NumLayers]float64{}
 	a.ServerBits = totalDemand
 	if cap(a.UploadedBits) < n || cap(a.PeerReceivedBits) < n {
-		buf := make([]float64, 2*n)
-		a.UploadedBits = buf[:n:n]
-		a.PeerReceivedBits = buf[n:]
+		c := max(n, 2*cap(a.UploadedBits))
+		buf := make([]float64, 2*c)
+		a.UploadedBits = buf[:n:c]
+		a.PeerReceivedBits = buf[c : c+n]
 		return
 	}
 	up := a.UploadedBits[:n]

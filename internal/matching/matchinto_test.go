@@ -3,6 +3,8 @@ package matching
 import (
 	"math/rand"
 	"testing"
+
+	"consumelocal/internal/topology"
 )
 
 // matchWorkload builds one interval's matching inputs: n peers spread
@@ -18,6 +20,20 @@ func matchWorkload(n int, seed int64) (peers []Peer, demands, caps []float64) {
 		peers[i] = Peer{User: uint32(i), Exchange: exchange, PoP: exchange / 4}
 		demands[i] = float64(1+rng.Intn(1000)) * 1e6
 		caps[i] = float64(rng.Intn(800)) * 1e6
+	}
+	return peers, demands, caps
+}
+
+// londonWorkload is matchWorkload with the peers placed uniformly over
+// the London tree (345 exchanges under 9 PoPs), the topology every
+// gated workload replays on.
+func londonWorkload(n int, seed int64) (peers []Peer, demands, caps []float64) {
+	tree := topology.DefaultLondon()
+	peers, demands, caps = matchWorkload(n, seed)
+	rng := rand.New(rand.NewSource(seed))
+	for i := range peers {
+		exchange := rng.Intn(tree.Exchanges())
+		peers[i].Exchange, peers[i].PoP = exchange, tree.PoPOf(exchange)
 	}
 	return peers, demands, caps
 }
@@ -81,6 +97,9 @@ func TestMatchIntoReusesAllocation(t *testing.T) {
 // per-peer vectors and the pooled scratch have grown, an interval match
 // must not touch the heap.
 func TestMatchIntoAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector drops pooled scratch on purpose, so pooled reuse cannot be pinned")
+	}
 	for _, policy := range []Policy{LocalityFirst{}, Random{}} {
 		t.Run(policy.Name(), func(t *testing.T) {
 			peers, demands, caps := matchWorkload(128, 1)
@@ -101,23 +120,38 @@ func TestMatchIntoAllocs(t *testing.T) {
 }
 
 // BenchmarkMatchInto measures one interval's matching through the
-// recycled-Allocation path, the hottest call in every engine.
+// recycled-Allocation path, the hottest call in every engine, on three
+// interval shapes: 128 peers over a 12-exchange tree, and the two
+// shapes the gated workloads produce on the London tree — catch-up
+// replay (3 peers per interval on average) and a live evening
+// (about 100).
 func BenchmarkMatchInto(b *testing.B) {
+	shapes := []struct {
+		name     string
+		workload func(n int, seed int64) ([]Peer, []float64, []float64)
+		n        int
+	}{
+		{"mixed", matchWorkload, 128},
+		{"catch-up", londonWorkload, 3},
+		{"live", londonWorkload, 100},
+	}
 	for _, policy := range []Policy{LocalityFirst{}, Random{}} {
-		b.Run(policy.Name(), func(b *testing.B) {
-			peers, demands, caps := matchWorkload(128, 1)
-			var a Allocation
-			if err := policy.MatchInto(&a, peers, demands, caps, -1); err != nil {
-				b.Fatal(err)
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
+		for _, shape := range shapes {
+			b.Run(policy.Name()+"/"+shape.name, func(b *testing.B) {
+				peers, demands, caps := shape.workload(shape.n, 1)
+				var a Allocation
 				if err := policy.MatchInto(&a, peers, demands, caps, -1); err != nil {
 					b.Fatal(err)
 				}
-			}
-			b.ReportMetric(float64(len(peers)), "peers/op")
-		})
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if err := policy.MatchInto(&a, peers, demands, caps, -1); err != nil {
+						b.Fatal(err)
+					}
+				}
+				b.ReportMetric(float64(len(peers)), "peers/op")
+			})
+		}
 	}
 }

@@ -1,7 +1,6 @@
 package matching
 
 import (
-	"slices"
 	"sync"
 
 	"consumelocal/internal/energy"
@@ -24,9 +23,11 @@ var _ Policy = Random{}
 func (Random) Name() string { return "random" }
 
 // rndScratch is the reusable per-MatchInto working state: one sortable
-// key slice for the pair-localisation counting passes.
+// key slice for the pair-localisation counting passes and its packed
+// sort keys.
 type rndScratch struct {
 	pairs []groupPair
+	keys  []uint64
 }
 
 var rndPool = sync.Pool{New: func() any { return new(rndScratch) }}
@@ -106,27 +107,24 @@ func pairLocalisation(peers []Peer) (sameExchange, samePoP float64) {
 	}
 	sc := rndPool.Get().(*rndScratch)
 	defer rndPool.Put(sc)
-	if cap(sc.pairs) < n {
-		sc.pairs = make([]groupPair, n)
-	}
-	pairs := sc.pairs[:n]
+	pairs := grown(&sc.pairs, n)
 
 	pairsTotal := float64(n) * float64(n-1)
 	for i, p := range peers {
 		pairs[i] = groupPair{k1: int64(p.Exchange), idx: int32(i)}
 	}
-	exPairs := coLocatedPairs(pairs)
+	exPairs := coLocatedPairs(pairs, &sc.keys)
 	for i, p := range peers {
 		pairs[i] = groupPair{k1: int64(p.PoP), idx: int32(i)}
 	}
-	popPairs := coLocatedPairs(pairs)
+	popPairs := coLocatedPairs(pairs, &sc.keys)
 	return exPairs / pairsTotal, popPairs / pairsTotal
 }
 
 // coLocatedPairs sorts the keys and returns Σ k·(k−1) over equal-key
 // runs: the number of ordered pairs of distinct peers sharing a key.
-func coLocatedPairs(pairs []groupPair) float64 {
-	slices.SortFunc(pairs, cmpGroupPair)
+func coLocatedPairs(pairs []groupPair, keys *[]uint64) float64 {
+	sortPairs(pairs, keys)
 	var total float64
 	for s := 0; s < len(pairs); {
 		e := s + 1

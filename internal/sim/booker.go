@@ -3,7 +3,6 @@ package sim
 import (
 	"consumelocal/internal/matching"
 	"consumelocal/internal/swarm"
-	"consumelocal/internal/trace"
 )
 
 // Booker accumulates matched interval allocations into the result grids
@@ -17,45 +16,46 @@ type Booker struct {
 	Days [][]Tally
 	// Users maps user ID to its byte ledger; nil disables user tracking.
 	Users map[uint32]*UserStats
+
+	// fracs holds the booked interval's per-day overlap shares.
+	fracs []float64
 }
 
-// SessionSource resolves a swept member index to its session. Both
-// execution modes implement it without closures: the batch simulator
-// over the swarm's session slice, the streaming engine over a worker's
-// live member table.
-type SessionSource interface {
-	SessionAt(idx int) trace.Session
+// Account is where one active member's share of an interval is booked:
+// its day-grid column (the session's ISP) and its user ledger, nil when
+// users are not tracked. Callers resolve it before booking, so booking
+// makes no map lookup per member; the streaming engine resolves it once
+// per session, at admission.
+type Account struct {
+	ISP    int
+	Ledger *UserStats
 }
 
-// SessionSlice adapts a plain session list into a SessionSource: member
-// index i is sessions[i], the batch sweep's indexing. Convert through a
-// pointer (or reuse one SliceSource) on hot paths: boxing the slice
-// header itself into the interface heap-allocates per conversion.
-type SessionSlice []trace.Session
-
-// SessionAt returns the idx-th session.
-func (s SessionSlice) SessionAt(idx int) trace.Session { return s[idx] }
-
-// SliceSource is a re-pointable SessionSource over a session list. The
-// reference simulator holds one and repoints it at each swarm's sessions, so
-// booking an interval converts a pointer into the interface — one word,
-// no per-interval boxing allocation.
-type SliceSource struct {
-	Sessions []trace.Session
+// Ledger returns the user's byte ledger, creating it on first use, or
+// nil when user tracking is off.
+func (b *Booker) Ledger(user uint32) *UserStats {
+	if b.Users == nil {
+		return nil
+	}
+	u := b.Users[user]
+	if u == nil {
+		u = &UserStats{}
+		b.Users[user] = u
+	}
+	return u
 }
-
-// SessionAt returns the idx-th session.
-func (s *SliceSource) SessionAt(idx int) trace.Session { return s.Sessions[idx] }
 
 // BookInterval books one matched activity interval: it builds the
 // interval tally from the allocation, attributes each downloader's share
 // to the day grid (peer bits split across layers proportionally to the
 // interval's overall layer mix) and to its user ledger, and returns the
 // interval tally for the caller to accumulate into swarm and run totals.
-// demands is parallel to iv.Active; sessions resolves a member index to
-// its session. The allocation is read-only and only for the duration of
-// the call, so both engines can recycle one Allocation per interval.
-func (b *Booker) BookInterval(iv swarm.Interval, alloc *matching.Allocation, demands []float64, sessions SessionSource) Tally {
+// demands and accounts are parallel to iv.Active. The allocation is
+// read-only and only for the duration of the call, so both engines can
+// recycle one Allocation per interval.
+//
+//consumelocal:hotpath
+func (b *Booker) BookInterval(iv swarm.Interval, alloc *matching.Allocation, demands []float64, accounts []Account) Tally {
 	var ivTally Tally
 	ivTally.ServerBits = alloc.ServerBits
 	ivTally.LayerBits = alloc.LayerBits
@@ -64,9 +64,9 @@ func (b *Booker) BookInterval(iv swarm.Interval, alloc *matching.Allocation, dem
 		ivTally.TotalBits += bits
 	}
 
+	firstDay, fracs := b.daySplit(iv)
 	peerTotal := ivTally.PeerBits()
-	for slot, idx := range iv.Active {
-		s := sessions.SessionAt(idx)
+	for slot, acct := range accounts {
 		demand := demands[slot]
 		received := alloc.PeerReceivedBits[slot]
 		server := demand - received
@@ -83,14 +83,18 @@ func (b *Booker) BookInterval(iv swarm.Interval, alloc *matching.Allocation, dem
 				perUser.LayerBits[l] = alloc.LayerBits[l] * frac
 			}
 		}
-		b.bookDays(iv, int(s.ISP), perUser)
-
-		if b.Users != nil {
-			u := b.Users[s.UserID]
-			if u == nil {
-				u = &UserStats{}
-				b.Users[s.UserID] = u
+		for k, frac := range fracs {
+			scaled := Tally{
+				TotalBits:  perUser.TotalBits * frac,
+				ServerBits: perUser.ServerBits * frac,
 			}
+			for l := range perUser.LayerBits {
+				scaled.LayerBits[l] = perUser.LayerBits[l] * frac
+			}
+			b.Days[firstDay+k][acct.ISP].Add(scaled)
+		}
+
+		if u := acct.Ledger; u != nil {
 			u.DownloadedBits += demand
 			u.FromPeersBits += received
 			u.UploadedBits += alloc.UploadedBits[slot]
@@ -99,33 +103,29 @@ func (b *Booker) BookInterval(iv swarm.Interval, alloc *matching.Allocation, dem
 	return ivTally
 }
 
-// bookDays splits a tally across the days an interval overlaps,
-// proportionally to the overlap. Days beyond the grid (session tails
-// past the trace horizon) are dropped.
-func (b *Booker) bookDays(iv swarm.Interval, isp int, t Tally) {
+// daySplit returns the first day an interval overlaps and the
+// interval's share in each grid day from there on, proportional to the
+// overlap. Swept intervals never start before zero, since sessions
+// start at or after it. The loop is clamped to the grid: days beyond it
+// (session tails past the trace horizon, up to ~68 years of them) are
+// never visited. The shares live in the Booker's scratch until the next
+// call.
+//
+//consumelocal:hotpath
+func (b *Booker) daySplit(iv swarm.Interval) (firstDay int, fracs []float64) {
 	const daySec = 24 * 3600
+	fracs = b.fracs[:0]
 	total := iv.Seconds()
 	if total <= 0 {
-		return
+		return 0, fracs
 	}
-	for day := int(iv.From / daySec); day <= int((iv.To-1)/daySec); day++ {
-		if day < 0 || day >= len(b.Days) {
-			continue
-		}
-		dayStart := int64(day) * daySec
-		dayEnd := dayStart + daySec
-		overlap := minInt64(iv.To, dayEnd) - maxInt64(iv.From, dayStart)
-		if overlap <= 0 {
-			continue
-		}
-		frac := float64(overlap) / total
-		scaled := Tally{
-			TotalBits:  t.TotalBits * frac,
-			ServerBits: t.ServerBits * frac,
-		}
-		for l := range t.LayerBits {
-			scaled.LayerBits[l] = t.LayerBits[l] * frac
-		}
-		b.Days[day][isp].Add(scaled)
+	first := iv.From / daySec
+	last := min((iv.To-1)/daySec, int64(len(b.Days))-1)
+	for day := first; day <= last; day++ {
+		dayStart := day * daySec
+		overlap := min(iv.To, dayStart+daySec) - max(iv.From, dayStart)
+		fracs = append(fracs, float64(overlap)/total)
 	}
+	b.fracs = fracs
+	return int(first), fracs
 }

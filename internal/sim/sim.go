@@ -359,14 +359,12 @@ type engine struct {
 	// alloc is the engine-owned matching result, recycled through
 	// Policy.MatchInto each interval.
 	alloc matching.Allocation
-	// src is the engine-owned SessionSource, repointed at the current
-	// swarm's sessions so booking never boxes a slice header.
-	src SliceSource
 
 	// scratch buffers reused across intervals to avoid churn.
-	peers   []matching.Peer
-	demands []float64
-	caps    []float64
+	peers    []matching.Peer
+	demands  []float64
+	caps     []float64
+	accounts []Account
 
 	// augment/quantize scratch, reused across swarms: rewritten member
 	// lists and the swarm headers wrapping them.
@@ -474,6 +472,7 @@ func (e *engine) runInterval(sw *swarm.Swarm, seeding []bool, iv swarm.Interval,
 	for slot, idx := range iv.Active {
 		s := sw.Sessions[idx]
 		e.peers[slot] = e.cfg.PeerEndpoint(s, sw.Key)
+		e.accounts[slot] = Account{ISP: int(s.ISP), Ledger: e.booker.Ledger(s.UserID)}
 		if seeding != nil && seeding[idx] {
 			e.demands[slot] = 0
 		} else {
@@ -494,40 +493,23 @@ func (e *engine) runInterval(sw *swarm.Swarm, seeding []bool, iv swarm.Interval,
 		return fmt.Errorf("sim: match swarm %+v interval [%d,%d): %w", sw.Key, iv.From, iv.To, err)
 	}
 
-	e.book(sw, iv, stats)
+	stats.Tally.Add(e.booker.BookInterval(iv, &e.alloc, e.demands, e.accounts))
 	return nil
 }
 
-// book accumulates the interval allocation into the swarm stats, the
-// per-day/per-ISP grid and the per-user ledgers.
-func (e *engine) book(sw *swarm.Swarm, iv swarm.Interval, stats *SwarmStats) {
-	e.src.Sessions = sw.Sessions
-	ivTally := e.booker.BookInterval(iv, &e.alloc, e.demands, &e.src)
-	stats.Tally.Add(ivTally)
-}
-
-// resize grows the scratch buffers to hold n entries.
+// resize grows the scratch buffers to hold n entries, at least doubling
+// their capacity so a swarm growing one member at a time does not
+// reallocate them at every new size.
 func (e *engine) resize(n int) {
 	if cap(e.peers) < n {
-		e.peers = make([]matching.Peer, n)
-		e.demands = make([]float64, n)
-		e.caps = make([]float64, n)
+		c := max(n, 2*cap(e.peers))
+		e.peers = make([]matching.Peer, n, c)
+		e.demands = make([]float64, n, c)
+		e.caps = make([]float64, n, c)
+		e.accounts = make([]Account, n, c)
 	}
 	e.peers = e.peers[:n]
 	e.demands = e.demands[:n]
 	e.caps = e.caps[:n]
-}
-
-func minInt64(a, b int64) int64 {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func maxInt64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
+	e.accounts = e.accounts[:n]
 }
