@@ -1,6 +1,7 @@
 GO ?= go
+REF ?= HEAD
 
-.PHONY: all build vet lint test race bench microbench metrics-smoke loadtest loadtest-smoke chaos-smoke ci
+.PHONY: all build vet lint test race bench microbench metrics-smoke loadtest loadtest-smoke chaos-smoke figures-diff ci
 
 all: build
 
@@ -41,14 +42,15 @@ race:
 bench:
 	$(GO) test -bench=. -benchtime=1x .
 
-## loadtest: the full-scale daemon hammer — spawns its own consumelocald
-## and drives 256 concurrent clients for 30s, writing BENCH_daemon.json
+## loadtest: the full-scale daemon hammer — spawns its own consumelocald,
+## drives 256 concurrent clients for 30s and prints the JSON report
 ## (sessions/s, latency percentiles, error counts, /metrics cross-check;
-## see docs/LOADTEST.md)
+## see docs/LOADTEST.md). The gated benchmark is perfbench/.
 loadtest:
 	@tmp="$$(mktemp -d)"; trap 'rm -rf "$$tmp"' EXIT; \
 	$(GO) build -o "$$tmp/consumelocald" ./cmd/consumelocald && \
-	$(GO) run ./cmd/consumelocal loadtest -daemon "$$tmp/consumelocald" -o BENCH_daemon.json
+	$(GO) run ./cmd/consumelocal loadtest -daemon "$$tmp/consumelocald" -o "$$tmp/report.json" && \
+	cat "$$tmp/report.json"
 
 ## loadtest-smoke: small-fleet end-to-end check of the load harness
 ## (64 clients, self-spawned daemon, asserts a well-formed report with
@@ -68,6 +70,13 @@ chaos-smoke:
 microbench:
 	$(GO) test -run '^$$' -bench 'BenchmarkTrackerAdvance|BenchmarkSweeper|BenchmarkScannerScan|BenchmarkShardBatchFeed|BenchmarkMatchInto|BenchmarkBookInterval' \
 		./internal/swarm/ ./internal/trace/ ./internal/engine/ ./internal/matching/ ./internal/sim/
+
+## figures-diff: build cmd/consumelocal at REF (default HEAD) and from
+## the working tree, run `all -scale 0.003 -days 14 -tsv` with both and
+## require byte-identical text and TSVs; prints OK or the first file
+## that differs. Not in ci: a CI clone may lack REF
+figures-diff:
+	./figures-diff.sh "$(REF)"
 
 ## metrics-smoke: boot a real consumelocald, run a generator job via
 ## the HTTP API, scrape /metrics and require the documented series,

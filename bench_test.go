@@ -56,7 +56,7 @@ func benchConfig() experiments.Config {
 func BenchmarkTable1DatasetSummary(b *testing.B) {
 	var users, sessions int
 	for i := 0; i < b.N; i++ {
-		table, err := experiments.Table1(benchConfig())
+		table, err := experiments.NewSuite(benchConfig()).Table1()
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -89,7 +89,7 @@ func BenchmarkTable4EnergyParams(b *testing.B) {
 func BenchmarkFig2SavingsVsCapacity(b *testing.B) {
 	var valancius, baliga float64
 	for i := 0; i < b.N; i++ {
-		res, err := experiments.Fig2(benchConfig())
+		res, err := experiments.NewSuite(benchConfig()).Fig2()
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -119,7 +119,7 @@ func maxSimSavings(ds experiments.Dataset, prefix string) float64 {
 func BenchmarkFig3SwarmDistributions(b *testing.B) {
 	var medianV float64
 	for i := 0; i < b.N; i++ {
-		res, err := experiments.Fig3(benchConfig())
+		res, err := experiments.NewSuite(benchConfig()).Fig3()
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -131,7 +131,7 @@ func BenchmarkFig3SwarmDistributions(b *testing.B) {
 func BenchmarkFig4DailySavings(b *testing.B) {
 	var isp1V, isp1B float64
 	for i := 0; i < b.N; i++ {
-		res, err := experiments.Fig4(benchConfig())
+		res, err := experiments.NewSuite(benchConfig()).Fig4()
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -145,7 +145,7 @@ func BenchmarkFig4DailySavings(b *testing.B) {
 func BenchmarkFig5SavingsDecomposition(b *testing.B) {
 	var cctV, cctB float64
 	for i := 0; i < b.N; i++ {
-		res, err := experiments.Fig5(experiments.Config{})
+		res, err := experiments.NewSuite(experiments.Config{}).Fig5()
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -159,7 +159,7 @@ func BenchmarkFig5SavingsDecomposition(b *testing.B) {
 func BenchmarkFig6UserCCT(b *testing.B) {
 	var positiveV, positiveB float64
 	for i := 0; i < b.N; i++ {
-		res, err := experiments.Fig6(benchConfig())
+		res, err := experiments.NewSuite(benchConfig()).Fig6()
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -173,7 +173,7 @@ func BenchmarkFig6UserCCT(b *testing.B) {
 func BenchmarkAblationMatchingPolicy(b *testing.B) {
 	var gap float64
 	for i := 0; i < b.N; i++ {
-		table, err := experiments.AblationMatching(benchConfig())
+		table, err := experiments.NewSuite(benchConfig()).AblationMatching()
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -187,7 +187,7 @@ func BenchmarkAblationMatchingPolicy(b *testing.B) {
 func BenchmarkAblationISPRestriction(b *testing.B) {
 	var restricted, cityWide float64
 	for i := 0; i < b.N; i++ {
-		table, err := experiments.AblationSwarmScope(benchConfig())
+		table, err := experiments.NewSuite(benchConfig()).AblationSwarmScope()
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -201,7 +201,7 @@ func BenchmarkAblationISPRestriction(b *testing.B) {
 func BenchmarkAblationBitrateSplit(b *testing.B) {
 	var split, mixed float64
 	for i := 0; i < b.N; i++ {
-		table, err := experiments.AblationSwarmScope(benchConfig())
+		table, err := experiments.NewSuite(benchConfig()).AblationSwarmScope()
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -215,7 +215,7 @@ func BenchmarkAblationBitrateSplit(b *testing.B) {
 func BenchmarkCDNPeakProvisioning(b *testing.B) {
 	var peakReduction float64
 	for i := 0; i < b.N; i++ {
-		table, err := experiments.Provisioning(benchConfig())
+		table, err := experiments.NewSuite(benchConfig()).Provisioning()
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -227,7 +227,7 @@ func BenchmarkCDNPeakProvisioning(b *testing.B) {
 func BenchmarkAblationParticipation(b *testing.B) {
 	var full, akamai float64
 	for i := 0; i < b.N; i++ {
-		table, err := experiments.AblationParticipation(benchConfig())
+		table, err := experiments.NewSuite(benchConfig()).AblationParticipation()
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -241,7 +241,7 @@ func BenchmarkAblationParticipation(b *testing.B) {
 func BenchmarkLiveVsCatchUp(b *testing.B) {
 	var liveSavings float64
 	for i := 0; i < b.N; i++ {
-		table, err := experiments.Live(benchConfig())
+		table, err := experiments.NewSuite(benchConfig()).Live()
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -253,7 +253,7 @@ func BenchmarkLiveVsCatchUp(b *testing.B) {
 func BenchmarkAblationTopology(b *testing.B) {
 	var series int
 	for i := 0; i < b.N; i++ {
-		ds, err := experiments.AblationTopology(experiments.Config{})
+		ds, err := experiments.NewSuite(experiments.Config{}).AblationTopology()
 		if err != nil {
 			b.Fatal(err)
 		}

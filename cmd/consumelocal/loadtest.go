@@ -16,8 +16,9 @@ import (
 // runLoadtest hammers a real consumelocald over HTTP with a concurrent
 // client fleet — ingest
 // producers (some silent, exercising the watermark=wall fallback),
-// snapshot followers and spooled-trace submitters — and writes the
-// latency/throughput/error report to BENCH_daemon.json. With -addr it
+// snapshot followers and spooled-trace submitters — and logs the
+// latency/throughput/error summary; -o also writes the JSON report to a
+// file. With -addr it
 // drives an already-running daemon; without, it spawns -daemon itself
 // on an ephemeral port and tears it down after the run. -chaos arms
 // the fault injection: the spawned daemon is SIGKILLed and restarted

@@ -28,7 +28,6 @@ import (
 	"path/filepath"
 
 	"consumelocal/internal/experiments"
-	"consumelocal/internal/trace"
 )
 
 func main() {
@@ -74,42 +73,31 @@ func run(args []string, out io.Writer) error {
 	cfg.Days = *days
 	cfg.Seed = *seed
 	cfg.UploadRatio = *ratio
+	suite := experiments.NewSuite(cfg)
 
-	sink := &outputSink{out: out, tsvDir: *tsvDir}
-
-	switch name {
-	case "table1":
-		return runTable1(cfg, sink)
-	case "table3":
-		return sink.table("table3", experiments.Table3())
-	case "table4":
-		return sink.table("table4", experiments.Table4(cfg))
-	case "fig2":
-		return runFig2(cfg, sink)
-	case "fig3":
-		return runFig3(cfg, sink)
-	case "fig4":
-		return runFig4(cfg, sink)
-	case "fig5":
-		return runFig5(cfg, sink)
-	case "fig6":
-		return runFig6(cfg, sink)
-	case "ablations":
-		return runAblations(cfg, sink)
-	case "provisioning":
-		return runProvisioning(cfg, sink)
-	case "live":
-		return runLive(cfg, sink)
-	case "accounting":
-		return runAccounting(cfg, sink)
-	case "tracegen":
-		return runTracegen(cfg, out)
-	case "all":
-		return runAll(cfg, sink)
-	default:
-		usage(out)
-		return fmt.Errorf("unknown experiment %q", name)
+	if name == "tracegen" {
+		month, err := suite.Month()
+		if err != nil {
+			return err
+		}
+		return month.WriteCSV(out)
 	}
+	sink := &outputSink{out: out, tsvDir: *tsvDir}
+	if name == "all" {
+		for _, e := range suiteExperiments {
+			if err := e.run(suite, sink); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	for _, e := range suiteExperiments {
+		if e.name == name {
+			return e.run(suite, sink)
+		}
+	}
+	usage(out)
+	return fmt.Errorf("unknown experiment %q", name)
 }
 
 func usage(out io.Writer) {
@@ -131,13 +119,134 @@ experiments:
   simulate   run the simulator on a trace CSV (-trace file, or stdin)
   replay     stream a trace CSV through the out-of-core engine with
              live windowed reports (-trace file, or stdin)
-  tracegen   write a synthetic trace as CSV to stdout
+  tracegen   write the experiments' synthetic month as CSV to stdout
   loadtest   hammer a consumelocald daemon with a concurrent client
-             fleet and record latency percentiles, throughput and
-             error counts (-addr or -daemon, -o BENCH_daemon.json)
-  all        run everything
+             fleet and report latency percentiles, throughput and
+             error counts (-addr or -daemon; -o FILE writes the report)
+  all        run every experiment over one shared month and replay
 
 flags: -scale -days -seed -ratio -tsv`)
+}
+
+// experiment is one subcommand of the experiment suite: its name and how
+// it renders its artefacts from a suite.
+type experiment struct {
+	name string
+	run  func(*experiments.Suite, *outputSink) error
+}
+
+// suiteExperiments lists the experiments in the order `all` runs them.
+var suiteExperiments = []experiment{
+	{"table1", func(s *experiments.Suite, out *outputSink) error {
+		return emit(out, "table1", s.Table1)
+	}},
+	{"table3", func(_ *experiments.Suite, out *outputSink) error {
+		return out.write("table3", experiments.Table3())
+	}},
+	{"table4", func(_ *experiments.Suite, out *outputSink) error {
+		return out.write("table4", experiments.Table4())
+	}},
+	{"fig2", func(s *experiments.Suite, out *outputSink) error {
+		res, err := s.Fig2()
+		if err != nil {
+			return err
+		}
+		if err := out.write("fig2_tiers", res.Tiers); err != nil {
+			return err
+		}
+		if err := out.datasets("fig2_theory", res.Theory); err != nil {
+			return err
+		}
+		return out.datasets("fig2_sim", res.Simulation)
+	}},
+	{"fig3", func(s *experiments.Suite, out *outputSink) error {
+		res, err := s.Fig3()
+		if err != nil {
+			return err
+		}
+		if err := out.write("fig3_capacity", &res.Capacities); err != nil {
+			return err
+		}
+		if err := out.write("fig3_savings", &res.Savings); err != nil {
+			return err
+		}
+		return out.write("fig3_summary", res.Summary)
+	}},
+	{"fig4", func(s *experiments.Suite, out *outputSink) error {
+		res, err := s.Fig4()
+		if err != nil {
+			return err
+		}
+		if err := out.datasets("fig4", res.Datasets); err != nil {
+			return err
+		}
+		return out.write("fig4_summary", res.Summary)
+	}},
+	{"fig5", func(s *experiments.Suite, out *outputSink) error {
+		res, err := s.Fig5()
+		if err != nil {
+			return err
+		}
+		if err := out.datasets("fig5", res.Datasets); err != nil {
+			return err
+		}
+		return out.write("fig5_summary", res.Summary)
+	}},
+	{"fig6", func(s *experiments.Suite, out *outputSink) error {
+		res, err := s.Fig6()
+		if err != nil {
+			return err
+		}
+		if err := out.write("fig6_cdf", &res.CDF); err != nil {
+			return err
+		}
+		return out.write("fig6_summary", res.Summary)
+	}},
+	{"ablations", func(s *experiments.Suite, out *outputSink) error {
+		if err := emit(out, "ablation_matching", s.AblationMatching); err != nil {
+			return err
+		}
+		if err := emit(out, "ablation_scope", s.AblationSwarmScope); err != nil {
+			return err
+		}
+		if err := emit(out, "ablation_budget", s.AblationBudget); err != nil {
+			return err
+		}
+		if err := emit(out, "ablation_participation", s.AblationParticipation); err != nil {
+			return err
+		}
+		if err := emit(out, "ablation_placement", s.AblationPlacement); err != nil {
+			return err
+		}
+		if err := emit(out, "ablation_topology", s.AblationTopology); err != nil {
+			return err
+		}
+		return emit(out, "scale_sweep", func() (*experiments.Table, error) { return s.ScaleSweep(nil) })
+	}},
+	{"provisioning", func(s *experiments.Suite, out *outputSink) error {
+		return emit(out, "provisioning", s.Provisioning)
+	}},
+	{"live", func(s *experiments.Suite, out *outputSink) error {
+		return emit(out, "live", s.Live)
+	}},
+	{"accounting", func(s *experiments.Suite, out *outputSink) error {
+		return emit(out, "accounting", s.Accounting)
+	}},
+}
+
+// artefact is a table or a dataset: it renders as text and as TSV.
+type artefact interface {
+	RenderText(io.Writer) error
+	WriteTSV(io.Writer) error
+}
+
+// emit builds one artefact and writes it under name.
+func emit[A artefact](out *outputSink, name string, build func() (A, error)) error {
+	a, err := build()
+	if err != nil {
+		return err
+	}
+	return out.write(name, a)
 }
 
 // outputSink renders results to the terminal and optionally mirrors them
@@ -147,20 +256,23 @@ type outputSink struct {
 	tsvDir string
 }
 
-func (s *outputSink) table(name string, t *experiments.Table) error {
-	if err := t.RenderText(s.out); err != nil {
+// write renders one artefact as text and mirrors it as name.tsv.
+func (s *outputSink) write(name string, a artefact) error {
+	if err := a.RenderText(s.out); err != nil {
 		return err
 	}
 	fmt.Fprintln(s.out)
-	return s.mirror(name, t.WriteTSV)
+	return s.mirror(name, a.WriteTSV)
 }
 
-func (s *outputSink) dataset(name string, d *experiments.Dataset) error {
-	if err := d.RenderText(s.out); err != nil {
-		return err
+// datasets writes one dataset per energy model as prefix_0, prefix_1, ...
+func (s *outputSink) datasets(prefix string, ds []experiments.Dataset) error {
+	for i := range ds {
+		if err := s.write(fmt.Sprintf("%s_%d", prefix, i), &ds[i]); err != nil {
+			return err
+		}
 	}
-	fmt.Fprintln(s.out)
-	return s.mirror(name, d.WriteTSV)
+	return nil
 }
 
 // mirror writes one artefact into the TSV directory when configured.
@@ -181,192 +293,4 @@ func (s *outputSink) mirror(name string, write func(io.Writer) error) error {
 		return fmt.Errorf("write %s: %w", path, err)
 	}
 	return f.Close()
-}
-
-func runTable1(cfg experiments.Config, sink *outputSink) error {
-	t, err := experiments.Table1(cfg)
-	if err != nil {
-		return err
-	}
-	return sink.table("table1", t)
-}
-
-func runFig2(cfg experiments.Config, sink *outputSink) error {
-	res, err := experiments.Fig2(cfg)
-	if err != nil {
-		return err
-	}
-	if err := sink.table("fig2_tiers", res.Tiers); err != nil {
-		return err
-	}
-	for i := range res.Theory {
-		if err := sink.dataset(fmt.Sprintf("fig2_theory_%d", i), &res.Theory[i]); err != nil {
-			return err
-		}
-	}
-	for i := range res.Simulation {
-		if err := sink.dataset(fmt.Sprintf("fig2_sim_%d", i), &res.Simulation[i]); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-func runFig3(cfg experiments.Config, sink *outputSink) error {
-	res, err := experiments.Fig3(cfg)
-	if err != nil {
-		return err
-	}
-	if err := sink.dataset("fig3_capacity", &res.Capacities); err != nil {
-		return err
-	}
-	if err := sink.dataset("fig3_savings", &res.Savings); err != nil {
-		return err
-	}
-	return sink.table("fig3_summary", res.Summary)
-}
-
-func runFig4(cfg experiments.Config, sink *outputSink) error {
-	res, err := experiments.Fig4(cfg)
-	if err != nil {
-		return err
-	}
-	for i := range res.Datasets {
-		if err := sink.dataset(fmt.Sprintf("fig4_%d", i), &res.Datasets[i]); err != nil {
-			return err
-		}
-	}
-	return sink.table("fig4_summary", res.Summary)
-}
-
-func runFig5(cfg experiments.Config, sink *outputSink) error {
-	res, err := experiments.Fig5(cfg)
-	if err != nil {
-		return err
-	}
-	for i := range res.Datasets {
-		if err := sink.dataset(fmt.Sprintf("fig5_%d", i), &res.Datasets[i]); err != nil {
-			return err
-		}
-	}
-	return sink.table("fig5_summary", res.Summary)
-}
-
-func runFig6(cfg experiments.Config, sink *outputSink) error {
-	res, err := experiments.Fig6(cfg)
-	if err != nil {
-		return err
-	}
-	if err := sink.dataset("fig6_cdf", &res.CDF); err != nil {
-		return err
-	}
-	return sink.table("fig6_summary", res.Summary)
-}
-
-func runAblations(cfg experiments.Config, sink *outputSink) error {
-	matching, err := experiments.AblationMatching(cfg)
-	if err != nil {
-		return err
-	}
-	if err := sink.table("ablation_matching", matching); err != nil {
-		return err
-	}
-	scope, err := experiments.AblationSwarmScope(cfg)
-	if err != nil {
-		return err
-	}
-	if err := sink.table("ablation_scope", scope); err != nil {
-		return err
-	}
-	budget, err := experiments.AblationBudget(cfg)
-	if err != nil {
-		return err
-	}
-	if err := sink.table("ablation_budget", budget); err != nil {
-		return err
-	}
-	participation, err := experiments.AblationParticipation(cfg)
-	if err != nil {
-		return err
-	}
-	if err := sink.table("ablation_participation", participation); err != nil {
-		return err
-	}
-	placement, err := experiments.AblationPlacement(cfg)
-	if err != nil {
-		return err
-	}
-	if err := sink.table("ablation_placement", placement); err != nil {
-		return err
-	}
-	topo, err := experiments.AblationTopology(cfg)
-	if err != nil {
-		return err
-	}
-	if err := sink.dataset("ablation_topology", topo); err != nil {
-		return err
-	}
-	sweep, err := experiments.ScaleSweep(cfg, nil)
-	if err != nil {
-		return err
-	}
-	return sink.table("scale_sweep", sweep)
-}
-
-func runProvisioning(cfg experiments.Config, sink *outputSink) error {
-	table, err := experiments.Provisioning(cfg)
-	if err != nil {
-		return err
-	}
-	return sink.table("provisioning", table)
-}
-
-func runLive(cfg experiments.Config, sink *outputSink) error {
-	table, err := experiments.Live(cfg)
-	if err != nil {
-		return err
-	}
-	return sink.table("live", table)
-}
-
-func runAccounting(cfg experiments.Config, sink *outputSink) error {
-	table, err := experiments.Accounting(cfg)
-	if err != nil {
-		return err
-	}
-	return sink.table("accounting", table)
-}
-
-func runTracegen(cfg experiments.Config, out io.Writer) error {
-	gc := trace.DefaultGeneratorConfig(cfg.Scale)
-	gc.Days = cfg.Days
-	gc.Seed = cfg.Seed
-	tr, err := trace.Generate(gc)
-	if err != nil {
-		return err
-	}
-	return tr.WriteCSV(out)
-}
-
-func runAll(cfg experiments.Config, sink *outputSink) error {
-	steps := []func() error{
-		func() error { return runTable1(cfg, sink) },
-		func() error { return sink.table("table3", experiments.Table3()) },
-		func() error { return sink.table("table4", experiments.Table4(cfg)) },
-		func() error { return runFig2(cfg, sink) },
-		func() error { return runFig3(cfg, sink) },
-		func() error { return runFig4(cfg, sink) },
-		func() error { return runFig5(cfg, sink) },
-		func() error { return runFig6(cfg, sink) },
-		func() error { return runAblations(cfg, sink) },
-		func() error { return runProvisioning(cfg, sink) },
-		func() error { return runLive(cfg, sink) },
-		func() error { return runAccounting(cfg, sink) },
-	}
-	for _, step := range steps {
-		if err := step(); err != nil {
-			return err
-		}
-	}
-	return nil
 }

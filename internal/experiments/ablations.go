@@ -4,138 +4,127 @@ import (
 	"fmt"
 
 	"consumelocal/internal/core"
+	"consumelocal/internal/energy"
 	"consumelocal/internal/matching"
 	"consumelocal/internal/sim"
 	"consumelocal/internal/stats"
 	"consumelocal/internal/swarm"
 	"consumelocal/internal/topology"
-	"consumelocal/internal/trace"
 )
+
+// arm is one row of an ablation table: its label and the change it makes
+// to the paper's simulation config. A nil change is the paper's config.
+type arm struct {
+	label  string
+	change func(*sim.Config)
+}
+
+// ablation tabulates each arm's system-wide offload and savings over the
+// base month. The paper arm reads the shared replay; every other arm
+// replays the month under its own config.
+func (s *Suite) ablation(title, column string, arms []arm) (*Table, error) {
+	table := &Table{Title: title, Columns: modelColumns(column, "offload")}
+	for _, a := range arms {
+		res, err := s.simulate(a.change)
+		if err != nil {
+			return nil, err
+		}
+		table.Rows = append(table.Rows, savingsRow(res.Total, a.label))
+	}
+	return table, nil
+}
+
+// modelColumns appends one column per energy model to the leading
+// headers.
+func modelColumns(headers ...string) []string {
+	for _, params := range energy.BothModels() {
+		headers = append(headers, params.Name)
+	}
+	return headers
+}
+
+// savingsRow appends the tally's offload and its savings under each
+// energy model to the leading cells.
+func savingsRow(t sim.Tally, cells ...string) []string {
+	row := append(cells, formatPercent(t.Offload()))
+	for _, params := range energy.BothModels() {
+		row = append(row, formatPercent(sim.Evaluate(t, params).Savings))
+	}
+	return row
+}
 
 // AblationMatching compares the locality-first matching policy against
 // random matching: how much of the saving comes from consuming *local*
 // rather than from offloading per se.
-func AblationMatching(cfg Config) (*Table, error) {
-	cfg = cfg.withDefaults()
-	tr, err := trace.Generate(cfg.generatorConfig("ablation-matching", cfg.Seed))
-	if err != nil {
-		return nil, fmt.Errorf("experiments: ablation matching: %w", err)
-	}
-
-	table := &Table{
-		Title:   "Ablation: peer matching policy (system-wide savings)",
-		Columns: []string{"policy", "offload"},
-	}
-	for _, p := range cfg.Models {
-		table.Columns = append(table.Columns, p.Name)
-	}
-
-	for _, policy := range []matching.Policy{matching.LocalityFirst{}, matching.Random{}} {
-		simCfg := sim.DefaultConfig(cfg.UploadRatio)
-		simCfg.Policy = policy
-		simCfg.TrackUsers = false
-		result, err := replay(tr, simCfg)
-		if err != nil {
-			return nil, fmt.Errorf("experiments: ablation matching: %w", err)
-		}
-		row := []string{policy.Name(), formatPercent(result.Total.Offload())}
-		for _, params := range cfg.Models {
-			row = append(row, formatPercent(sim.Evaluate(result.Total, params).Savings))
-		}
-		table.Rows = append(table.Rows, row)
-	}
-	return table, nil
+func (s *Suite) AblationMatching() (*Table, error) {
+	return s.ablation("Ablation: peer matching policy (system-wide savings)", "policy", []arm{
+		{matching.LocalityFirst{}.Name(), nil},
+		{matching.Random{}.Name(), func(c *sim.Config) { c.Policy = matching.Random{} }},
+	})
 }
 
 // AblationSwarmScope quantifies the two swarm-restriction obstacle factors
 // of Section IV.B.1: ISP-friendliness and bitrate splitting. The paper
 // treats ISP-restricted, bitrate-split swarms as the lower bound on
 // savings; lifting either restriction grows swarms and savings.
-func AblationSwarmScope(cfg Config) (*Table, error) {
-	cfg = cfg.withDefaults()
-	tr, err := trace.Generate(cfg.generatorConfig("ablation-scope", cfg.Seed))
-	if err != nil {
-		return nil, fmt.Errorf("experiments: ablation scope: %w", err)
-	}
-
-	table := &Table{
-		Title:   "Ablation: swarm scope (system-wide savings)",
-		Columns: []string{"swarm scope", "offload"},
-	}
-	for _, p := range cfg.Models {
-		table.Columns = append(table.Columns, p.Name)
-	}
-
-	cases := []struct {
-		name string
-		opts swarm.Options
-	}{
-		{"per-ISP, per-bitrate (paper)", swarm.Options{RestrictISP: true, SplitBitrate: true}},
-		{"per-ISP, mixed bitrates", swarm.Options{RestrictISP: true, SplitBitrate: false}},
-		{"city-wide, per-bitrate", swarm.Options{RestrictISP: false, SplitBitrate: true}},
-		{"city-wide, mixed bitrates", swarm.Options{RestrictISP: false, SplitBitrate: false}},
-	}
-	for _, tc := range cases {
-		simCfg := sim.DefaultConfig(cfg.UploadRatio)
-		simCfg.Swarm = tc.opts
-		simCfg.TrackUsers = false
-		result, err := replay(tr, simCfg)
-		if err != nil {
-			return nil, fmt.Errorf("experiments: ablation scope: %w", err)
+func (s *Suite) AblationSwarmScope() (*Table, error) {
+	scope := func(restrictISP, splitBitrate bool) func(*sim.Config) {
+		return func(c *sim.Config) {
+			c.Swarm = swarm.Options{RestrictISP: restrictISP, SplitBitrate: splitBitrate}
 		}
-		row := []string{tc.name, formatPercent(result.Total.Offload())}
-		for _, params := range cfg.Models {
-			row = append(row, formatPercent(sim.Evaluate(result.Total, params).Savings))
-		}
-		table.Rows = append(table.Rows, row)
 	}
-	return table, nil
+	return s.ablation("Ablation: swarm scope (system-wide savings)", "swarm scope", []arm{
+		{"per-ISP, per-bitrate (paper)", nil},
+		{"per-ISP, mixed bitrates", scope(true, false)},
+		{"city-wide, per-bitrate", scope(false, true)},
+		{"city-wide, mixed bitrates", scope(false, false)},
+	})
 }
 
 // AblationBudget quantifies the paper's Eq. 2 assumption that one peer's
 // worth of upload capacity is lost to fetching novel chunks from the
 // server: with the (L−1)·q cap versus without it.
-func AblationBudget(cfg Config) (*Table, error) {
-	cfg = cfg.withDefaults()
-	tr, err := trace.Generate(cfg.generatorConfig("ablation-budget", cfg.Seed))
-	if err != nil {
-		return nil, fmt.Errorf("experiments: ablation budget: %w", err)
-	}
+func (s *Suite) AblationBudget() (*Table, error) {
+	return s.ablation("Ablation: per-window peer capacity budget (Eq. 2)", "budget", []arm{
+		{"(L-1)q cap (paper)", nil},
+		{"uncapped L·q", func(c *sim.Config) { c.DisablePaperBudget = true }},
+	})
+}
 
-	table := &Table{
-		Title:   "Ablation: per-window peer capacity budget (Eq. 2)",
-		Columns: []string{"budget", "offload"},
-	}
-	for _, p := range cfg.Models {
-		table.Columns = append(table.Columns, p.Name)
-	}
+// ParticipationRates are the upload-participation levels swept by the
+// participation ablation. The 0.3 point is the Akamai NetSession
+// participation level the paper's conclusion quotes (Zhao et al.,
+// IMC 2013).
+var ParticipationRates = []float64{1.0, 0.6, 0.3, 0.1}
 
-	for _, disabled := range []bool{false, true} {
-		simCfg := sim.DefaultConfig(cfg.UploadRatio)
-		simCfg.DisablePaperBudget = disabled
-		simCfg.TrackUsers = false
-		result, err := replay(tr, simCfg)
-		if err != nil {
-			return nil, fmt.Errorf("experiments: ablation budget: %w", err)
+// AblationParticipation sweeps the fraction of users who contribute
+// upload capacity. The paper assumes full participation and motivates
+// carbon credits precisely as the incentive to raise real-world
+// participation from the ~30% Akamai observes; this ablation quantifies
+// what is at stake.
+func (s *Suite) AblationParticipation() (*Table, error) {
+	arms := make([]arm, 0, len(ParticipationRates))
+	for _, rate := range ParticipationRates {
+		a := arm{label: formatPercent(rate)}
+		switch rate {
+		case 1.0:
+			// Full participation is the paper's config itself.
+			a.label += " (paper assumption)"
+		case 0.3:
+			a.label += " (Akamai, Zhao et al.)"
 		}
-		name := "(L-1)q cap (paper)"
-		if disabled {
-			name = "uncapped L·q"
+		if rate != 1.0 {
+			a.change = func(c *sim.Config) { c.ParticipationRate = rate }
 		}
-		row := []string{name, formatPercent(result.Total.Offload())}
-		for _, params := range cfg.Models {
-			row = append(row, formatPercent(sim.Evaluate(result.Total, params).Savings))
-		}
-		table.Rows = append(table.Rows, row)
+		arms = append(arms, a)
 	}
-	return table, nil
+	return s.ablation("Ablation: upload participation rate (system-wide savings)", "participation", arms)
 }
 
 // AblationTopology evaluates the closed form under alternative metro tree
 // shapes: how sensitive the savings are to the published 345/9 node
 // counts.
-func AblationTopology(cfg Config) (*Dataset, error) {
-	cfg = cfg.withDefaults()
+func (s *Suite) AblationTopology() (*Dataset, error) {
 	shapes := []struct {
 		name      string
 		exchanges int
@@ -148,10 +137,10 @@ func AblationTopology(cfg Config) (*Dataset, error) {
 	}
 
 	// Topology affects only locality, which the Valancius parameters
-	// weight most heavily; use the first configured model.
-	params := cfg.Models[0]
+	// weight most heavily.
+	params := energy.Valancius()
 	ds := &Dataset{
-		Title:  fmt.Sprintf("Ablation: topology sensitivity of S(c) (%s, q/b=%.1f)", params.Name, cfg.UploadRatio),
+		Title:  fmt.Sprintf("Ablation: topology sensitivity of S(c) (%s, q/b=%.1f)", params.Name, s.cfg.UploadRatio),
 		XLabel: "capacity",
 		YLabel: "energy savings",
 	}
@@ -165,11 +154,11 @@ func AblationTopology(cfg Config) (*Dataset, error) {
 		if err != nil {
 			return nil, fmt.Errorf("experiments: ablation topology: %w", err)
 		}
-		s := Series{Name: shape.name}
+		series := Series{Name: shape.name}
 		for _, c := range grid {
-			s.Points = append(s.Points, stats.Point{X: c, Y: model.Savings(c, cfg.UploadRatio)})
+			series.Points = append(series.Points, stats.Point{X: c, Y: model.Savings(c, s.cfg.UploadRatio)})
 		}
-		ds.Series = append(ds.Series, s)
+		ds.Series = append(ds.Series, series)
 	}
 	return ds, nil
 }

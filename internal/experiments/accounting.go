@@ -6,7 +6,6 @@ import (
 
 	"consumelocal/internal/energy"
 	"consumelocal/internal/sim"
-	"consumelocal/internal/trace"
 )
 
 // Accounting contrasts the two energy-accounting schools the paper's
@@ -20,16 +19,12 @@ import (
 //   - the marginal cost a sharing user pays per uploaded bit under each
 //     accounting (2·l·γm per-bit vs 0 per-subscriber — the Nano Data
 //     Centers argument for why online peers share "for free").
-func Accounting(cfg Config) (*Table, error) {
-	cfg = cfg.withDefaults()
-	tr, err := trace.Generate(cfg.generatorConfig("accounting", cfg.Seed))
+//
+// It reads the shared replay's user ledgers.
+func (s *Suite) Accounting() (*Table, error) {
+	_, result, err := s.paperRun()
 	if err != nil {
-		return nil, fmt.Errorf("experiments: accounting: %w", err)
-	}
-	simCfg := sim.DefaultConfig(cfg.UploadRatio)
-	result, err := replay(tr, simCfg)
-	if err != nil {
-		return nil, fmt.Errorf("experiments: accounting: %w", err)
+		return nil, err
 	}
 
 	// Per-user monthly volumes, for the skew argument.

@@ -1,49 +1,52 @@
 // Package experiments regenerates every table and figure of the paper's
 // evaluation from the reproduction's own substrates: the synthetic trace
-// generator, the trace-driven simulator and the closed-form model.
+// generator, the streaming replay engine and the closed-form model.
+//
+// The paper replays one month of London sessions once and prices the
+// recorded traffic under each energy model afterwards. A Suite does the
+// same. It generates the base month (the synthetic-london generator at
+// the run's scale, days and seed) at most once and replays it under the
+// paper's simulation configuration (sim.DefaultConfig with users
+// tracked) at most once; every experiment derives its figures from those
+// two shared inputs, and only an arm that changes the workload or the
+// simulator generates or replays anything of its own. Every experiment
+// prices under both published energy models (energy.BothModels).
 //
 // Each experiment returns structured data (Table for tabular results,
 // Dataset for plottable series) that renders both as human-readable text
-// and as gnuplot-compatible TSV. The mapping from experiment to paper
-// artefact is:
+// and as gnuplot-compatible TSV. The experiments, the artefacts they
+// regenerate and the shared inputs they read are:
 //
-//	Table1  — dataset description (users / IP addresses / sessions)
-//	Table3  — per-layer localisation probabilities
-//	Table4  — energy parameters of both models
-//	Fig2    — energy savings vs capacity: theory curves + simulation dots
-//	Fig3    — CCDF of per-swarm capacity and per-swarm savings
-//	Fig4    — daily aggregate savings per ISP, simulation vs theory
-//	Fig5    — savings decomposition vs capacity (end-to-end/CDN/user/CCT)
-//	Fig6    — CDF of per-user carbon credit transfer
-//
-// plus the ablations DESIGN.md calls out (matching policy, ISP
-// restriction, bitrate split, topology sensitivity).
+//	Table1                 Table I: dataset description           month (Sep-2013); generates a Jul-2014 month
+//	Table3                 Table III: localisation probabilities  none
+//	Table4                 Table IV: energy parameters            none
+//	Fig2                   Fig. 2: savings vs capacity            month; replays three exemplar items per q/β
+//	Fig3                   Fig. 3: capacity and savings CCDFs     month and replay
+//	Fig4                   Fig. 4: daily savings per ISP          month and replay
+//	Fig5                   Fig. 5: savings decomposition          none (closed form)
+//	Fig6                   Fig. 6: per-user carbon credit CDF     replay (user ledgers)
+//	Provisioning           CDN peak provisioning                  replay
+//	Accounting             per-bit vs per-subscriber accounting   replay (user ledgers)
+//	AblationMatching       matching policy                        replay; replays random matching
+//	AblationSwarmScope     swarm scope                            replay; replays the three wider scopes
+//	AblationBudget         Eq. 2 peer capacity budget             replay; replays without the cap
+//	AblationParticipation  upload participation                   replay; replays 60%, 30% and 10%
+//	AblationPlacement      placement skew vs the closed form      month and replay; generates two skewed months
+//	PlacementGap           sim − theory gap at one skew           as AblationPlacement, one skew
+//	AblationTopology       topology sensitivity of S(c)           none (closed form)
+//	ScaleSweep             savings vs trace scale                 month and replay at the run's scale; generates the others
+//	Live                   live vs catch-up viewing               none; generates and replays two traces of its own
 package experiments
 
 import (
-	"context"
 	"fmt"
 	"io"
 	"strconv"
 	"strings"
 
-	"consumelocal/internal/energy"
-	"consumelocal/internal/engine"
-	"consumelocal/internal/sim"
 	"consumelocal/internal/stats"
 	"consumelocal/internal/trace"
 )
-
-// replay runs tr under cfg on the streaming engine with one reporting
-// window spanning the horizon: the experiments read only the final
-// result, whose per-swarm tallies and total equal sim.Run bit for bit.
-func replay(tr *trace.Trace, cfg sim.Config) (*sim.Result, error) {
-	run, err := engine.Stream(context.Background(), engine.TraceSource(tr), engine.Config{Sim: cfg, WindowSec: tr.HorizonSec})
-	if err != nil {
-		return nil, err
-	}
-	return run.Result()
-}
 
 // Config carries the shared knobs of the trace-driven experiments.
 type Config struct {
@@ -56,9 +59,6 @@ type Config struct {
 	Seed int64
 	// UploadRatio is the default q/β for experiments that do not sweep it.
 	UploadRatio float64
-	// Models are the energy parameter sets to evaluate (defaults to both
-	// published ones).
-	Models []energy.Params
 }
 
 // DefaultConfig returns an experiment configuration that runs the full
@@ -70,7 +70,6 @@ func DefaultConfig() Config {
 		Days:        30,
 		Seed:        1,
 		UploadRatio: 1.0,
-		Models:      energy.BothModels(),
 	}
 }
 
@@ -89,18 +88,15 @@ func (c Config) withDefaults() Config {
 	if c.UploadRatio <= 0 {
 		c.UploadRatio = d.UploadRatio
 	}
-	if len(c.Models) == 0 {
-		c.Models = d.Models
-	}
 	return c
 }
 
-// generatorConfig builds the trace generator configuration for the
-// experiment config.
-func (c Config) generatorConfig(name string, seed int64) trace.GeneratorConfig {
-	gc := trace.DefaultGeneratorConfig(c.Scale)
-	gc.Name = name
-	gc.Seed = seed
+// monthConfig is the synthetic-london generator config at the given
+// scale over the run's days and seed; at the run's own scale it
+// describes the base month.
+func (c Config) monthConfig(scale float64) trace.GeneratorConfig {
+	gc := trace.DefaultGeneratorConfig(scale)
+	gc.Seed = c.Seed
 	gc.Days = c.Days
 	return gc
 }

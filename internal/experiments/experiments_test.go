@@ -28,19 +28,20 @@ func testConfig() Config {
 	return Config{Scale: 0.002, Days: 10, Seed: 3, UploadRatio: 1.0}
 }
 
+// shared is the suite the figure tests read, so the month at testConfig
+// is generated and replayed once per test binary.
+var shared = NewSuite(testConfig())
+
 func TestDefaultConfig(t *testing.T) {
 	cfg := DefaultConfig()
 	if cfg.Scale <= 0 || cfg.Days <= 0 || cfg.UploadRatio <= 0 {
 		t.Errorf("default config has zero knobs: %+v", cfg)
 	}
-	if len(cfg.Models) != 2 {
-		t.Errorf("default config should evaluate both models, got %d", len(cfg.Models))
-	}
 }
 
 func TestWithDefaultsFillsZeroes(t *testing.T) {
 	cfg := Config{}.withDefaults()
-	if cfg.Scale != DefaultConfig().Scale || len(cfg.Models) != 2 {
+	if cfg.Scale != DefaultConfig().Scale {
 		t.Errorf("withDefaults did not fill: %+v", cfg)
 	}
 	// Explicit values survive.
@@ -154,7 +155,7 @@ func TestFormatHelpers(t *testing.T) {
 }
 
 func TestTable1(t *testing.T) {
-	table, err := Table1(testConfig())
+	table, err := shared.Table1()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -214,7 +215,7 @@ func TestTable3MatchesPaper(t *testing.T) {
 }
 
 func TestTable4MatchesPaper(t *testing.T) {
-	table := Table4(Config{})
+	table := Table4()
 	if len(table.Columns) != 3 {
 		t.Fatalf("Table4 columns = %v", table.Columns)
 	}

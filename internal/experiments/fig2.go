@@ -5,10 +5,10 @@ import (
 	"sort"
 
 	"consumelocal/internal/core"
+	"consumelocal/internal/energy"
 	"consumelocal/internal/sim"
 	"consumelocal/internal/stats"
 	"consumelocal/internal/swarm"
-	"consumelocal/internal/topology"
 	"consumelocal/internal/trace"
 )
 
@@ -38,16 +38,20 @@ type fig2Tier struct {
 // Fig2 regenerates Fig. 2: per-content-item energy savings against swarm
 // capacity — closed-form curves for each q/β, and simulation points for
 // exemplar items of high, medium and low popularity across the top five
-// ISPs, under both energy models.
-func Fig2(cfg Config) (*Fig2Result, error) {
-	cfg = cfg.withDefaults()
-	tr, err := trace.Generate(cfg.generatorConfig("fig2", cfg.Seed))
+// ISPs, under both energy models. It picks the items from the base month
+// and replays each item's sessions once per q/β.
+func (s *Suite) Fig2() (*Fig2Result, error) {
+	tr, err := s.Month()
 	if err != nil {
-		return nil, fmt.Errorf("experiments: fig2: %w", err)
+		return nil, err
 	}
 
 	tiers := selectTiers(tr)
-	probs := topology.DefaultLondon().Probabilities()
+	models := energy.BothModels()
+	closed, err := londonModels(models)
+	if err != nil {
+		return nil, err
+	}
 
 	res := &Fig2Result{
 		Tiers: &Table{
@@ -63,22 +67,18 @@ func Fig2(cfg Config) (*Fig2Result, error) {
 
 	// Theory curves per model and ratio.
 	capGrid := stats.LogSpace(0.01, 100, 120)
-	for _, params := range cfg.Models {
-		model, err := core.New(params, probs)
-		if err != nil {
-			return nil, fmt.Errorf("experiments: fig2: %w", err)
-		}
+	for m, params := range models {
 		ds := Dataset{
 			Title:  fmt.Sprintf("Fig. 2 theory (%s)", params.Name),
 			XLabel: "capacity",
 			YLabel: "energy savings",
 		}
 		for _, ratio := range Fig2Ratios {
-			s := Series{Name: fmt.Sprintf("theory q/b=%.1f", ratio)}
+			series := Series{Name: fmt.Sprintf("theory q/b=%.1f", ratio)}
 			for _, c := range capGrid {
-				s.Points = append(s.Points, stats.Point{X: c, Y: model.Savings(c, ratio)})
+				series.Points = append(series.Points, stats.Point{X: c, Y: closed[m].Savings(c, ratio)})
 			}
-			ds.Series = append(ds.Series, s)
+			ds.Series = append(ds.Series, series)
 		}
 		res.Theory = append(res.Theory, ds)
 	}
@@ -101,7 +101,7 @@ func Fig2(cfg Config) (*Fig2Result, error) {
 			simCfg.TrackUsers = false
 			result, err := replay(sub, simCfg)
 			if err != nil {
-				return nil, fmt.Errorf("experiments: fig2: tier %s: %w", tier.name, err)
+				return nil, err
 			}
 			for _, sw := range result.Swarms {
 				if sw.Key.Bitrate != int32(trace.BitrateSD) || sw.Tally.TotalBits <= 0 {
@@ -118,7 +118,7 @@ func Fig2(cfg Config) (*Fig2Result, error) {
 		}
 	}
 
-	for _, params := range cfg.Models {
+	for _, params := range models {
 		ds := Dataset{
 			Title:  fmt.Sprintf("Fig. 2 simulation (%s)", params.Name),
 			XLabel: "capacity",
@@ -128,13 +128,13 @@ func Fig2(cfg Config) (*Fig2Result, error) {
 		var order []string
 		for _, p := range points {
 			name := fmt.Sprintf("sim %s ISP-%d", p.tier, p.isp+1)
-			s, ok := bySeries[name]
+			series, ok := bySeries[name]
 			if !ok {
-				s = &Series{Name: name}
-				bySeries[name] = s
+				series = &Series{Name: name}
+				bySeries[name] = series
 				order = append(order, name)
 			}
-			s.Points = append(s.Points, stats.Point{
+			series.Points = append(series.Points, stats.Point{
 				X: p.cap_,
 				Y: sim.Evaluate(p.tally, params).Savings,
 			})
@@ -212,15 +212,24 @@ func filterContent(tr *trace.Trace, content uint32) *trace.Trace {
 	return sub
 }
 
-// theoreticalSwarmSavings computes the traffic-weighted closed-form
-// savings over a set of swarms — the "theo." curves of Fig. 4 and the
-// aggregate comparisons. Each swarm contributes S(c_swarm) weighted by its
-// useful traffic.
-func theoreticalSwarmSavings(model *core.Model, swarms []*swarm.Swarm, horizon int64, ratio float64) float64 {
-	var values, weights []float64
-	for _, sw := range swarms {
-		values = append(values, model.Savings(sw.Capacity(horizon), ratio))
-		weights = append(weights, sw.Bytes())
+// theoreticalSwarmSavings computes, under each closed-form model, the
+// traffic-weighted savings over a set of swarms — the "theo." curves of
+// Fig. 4 and the aggregate comparisons. Each swarm contributes
+// S(c_swarm) weighted by its useful traffic.
+func theoreticalSwarmSavings(models []*core.Model, swarms []*swarm.Swarm, horizon int64, ratio float64) []float64 {
+	capacities := make([]float64, len(swarms))
+	weights := make([]float64, len(swarms))
+	for i, sw := range swarms {
+		capacities[i] = sw.Capacity(horizon)
+		weights[i] = sw.Bytes()
 	}
-	return stats.WeightedMean(values, weights)
+	out := make([]float64, len(models))
+	values := make([]float64, len(swarms))
+	for m, model := range models {
+		for i, c := range capacities {
+			values[i] = model.Savings(c, ratio)
+		}
+		out[m] = stats.WeightedMean(values, weights)
+	}
+	return out
 }

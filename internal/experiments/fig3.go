@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"fmt"
 	"sort"
 
 	"consumelocal/internal/energy"
@@ -24,19 +23,13 @@ type Fig3Result struct {
 }
 
 // Fig3 regenerates Fig. 3: how swarm capacity and energy savings
-// distribute across the content catalogue.
-func Fig3(cfg Config) (*Fig3Result, error) {
-	cfg = cfg.withDefaults()
-	tr, err := trace.Generate(cfg.generatorConfig("fig3", cfg.Seed))
+// distribute across the content catalogue, from the shared replay.
+func (s *Suite) Fig3() (*Fig3Result, error) {
+	tr, result, err := s.paperRun()
 	if err != nil {
-		return nil, fmt.Errorf("experiments: fig3: %w", err)
+		return nil, err
 	}
-	simCfg := sim.DefaultConfig(cfg.UploadRatio)
-	simCfg.TrackUsers = false
-	result, err := replay(tr, simCfg)
-	if err != nil {
-		return nil, fmt.Errorf("experiments: fig3: %w", err)
-	}
+	models := energy.BothModels()
 
 	res := &Fig3Result{
 		Capacities: Dataset{
@@ -51,7 +44,7 @@ func Fig3(cfg Config) (*Fig3Result, error) {
 		},
 		Summary: &Table{
 			Title:   "Fig. 3 summary statistics",
-			Columns: []string{"metric"},
+			Columns: modelColumns("metric"),
 		},
 	}
 
@@ -64,14 +57,10 @@ func Fig3(cfg Config) (*Fig3Result, error) {
 	}
 	res.Capacities.Series = []Series{{Name: "swarm capacity", Points: stats.CCDF(capacities)}}
 
-	for _, params := range cfg.Models {
-		res.Summary.Columns = append(res.Summary.Columns, params.Name)
-	}
-
-	medians := make([]string, 0, len(cfg.Models))
-	topShares := make([]string, 0, len(cfg.Models))
-	positives := make([]string, 0, len(cfg.Models))
-	for _, params := range cfg.Models {
+	medians := make([]string, 0, len(models))
+	topShares := make([]string, 0, len(models))
+	positives := make([]string, 0, len(models))
+	for _, params := range models {
 		savings := make([]float64, 0, len(result.Swarms))
 		for _, saving := range result.SwarmSavings(params) {
 			savings = append(savings, saving.Savings)

@@ -4,10 +4,10 @@ import (
 	"fmt"
 
 	"consumelocal/internal/core"
+	"consumelocal/internal/energy"
 	"consumelocal/internal/sim"
 	"consumelocal/internal/stats"
 	"consumelocal/internal/swarm"
-	"consumelocal/internal/topology"
 	"consumelocal/internal/trace"
 )
 
@@ -26,50 +26,54 @@ type Fig4Result struct {
 
 // Fig4 regenerates Fig. 4: the aggregate energy savings across all
 // requests to all items of the catalogue, per day of the month and per
-// ISP, from data-driven simulation and from the closed form (swarm-by-
-// swarm, traffic weighted).
-func Fig4(cfg Config) (*Fig4Result, error) {
-	cfg = cfg.withDefaults()
-	tr, err := trace.Generate(cfg.generatorConfig("fig4", cfg.Seed))
+// ISP, from the shared replay and from the closed form (swarm-by-swarm,
+// traffic weighted).
+func (s *Suite) Fig4() (*Fig4Result, error) {
+	tr, result, err := s.paperRun()
 	if err != nil {
-		return nil, fmt.Errorf("experiments: fig4: %w", err)
+		return nil, err
 	}
-	simCfg := sim.DefaultConfig(cfg.UploadRatio)
-	simCfg.TrackUsers = false
-	result, err := replay(tr, simCfg)
+	models := energy.BothModels()
+	closed, err := londonModels(models)
 	if err != nil {
-		return nil, fmt.Errorf("experiments: fig4: %w", err)
+		return nil, err
 	}
 
-	probs := topology.DefaultLondon().Probabilities()
+	// theory[i][day] holds the closed-form savings of ISP Fig4ISPs[i] on
+	// that day under each model, for the days the ISP has traffic.
+	theory := make([][][]float64, len(Fig4ISPs))
+	for i, isp := range Fig4ISPs {
+		theory[i] = make([][]float64, len(result.Days))
+		for day := range result.Days {
+			if result.Days[day][isp].TotalBits > 0 {
+				theory[i][day] = theoreticalDailySavings(tr, closed, day, isp, s.cfg.UploadRatio)
+			}
+		}
+	}
+
 	res := &Fig4Result{
 		Summary: &Table{
 			Title:   "Fig. 4 month-average aggregate savings",
 			Columns: []string{"model", "isp", "sim", "theory"},
 		},
 	}
-
-	for _, params := range cfg.Models {
-		model, err := core.New(params, probs)
-		if err != nil {
-			return nil, fmt.Errorf("experiments: fig4: %w", err)
-		}
+	for m, params := range models {
 		ds := Dataset{
 			Title:  fmt.Sprintf("Fig. 4 daily aggregate savings (%s)", params.Name),
 			XLabel: "day",
 			YLabel: "energy savings",
 		}
-		for _, isp := range Fig4ISPs {
+		for i, isp := range Fig4ISPs {
 			simSeries := Series{Name: fmt.Sprintf("ISP-%d sim", isp+1)}
 			theoSeries := Series{Name: fmt.Sprintf("ISP-%d theo", isp+1)}
 			var simVals, theoVals []float64
-			for day := 0; day < len(result.Days); day++ {
+			for day := range result.Days {
 				tally := result.Days[day][isp]
 				if tally.TotalBits <= 0 {
 					continue
 				}
 				simS := sim.Evaluate(tally, params).Savings
-				theoS := theoreticalDailySavings(tr, model, simCfg.Swarm, day, isp, cfg.UploadRatio)
+				theoS := theory[i][day][m]
 				simSeries.Points = append(simSeries.Points, stats.Point{X: float64(day + 1), Y: simS})
 				theoSeries.Points = append(theoSeries.Points, stats.Point{X: float64(day + 1), Y: theoS})
 				simVals = append(simVals, simS)
@@ -88,11 +92,11 @@ func Fig4(cfg Config) (*Fig4Result, error) {
 	return res, nil
 }
 
-// theoreticalDailySavings evaluates the closed form for one day and ISP:
-// sessions overlapping the day are clipped to it, grouped into swarms, and
-// each swarm contributes S(c_day) weighted by its traffic within the day.
-func theoreticalDailySavings(tr *trace.Trace, model *core.Model, opts swarm.Options,
-	day, isp int, ratio float64) float64 {
+// theoreticalDailySavings evaluates the closed form for one day and ISP
+// under each model: sessions overlapping the day are clipped to it,
+// grouped into swarms, and each swarm contributes S(c_day) weighted by
+// its traffic within the day.
+func theoreticalDailySavings(tr *trace.Trace, models []*core.Model, day, isp int, ratio float64) []float64 {
 	const daySec = int64(24 * 3600)
 	dayStart := int64(day) * daySec
 	dayEnd := dayStart + daySec
@@ -126,6 +130,6 @@ func theoreticalDailySavings(tr *trace.Trace, model *core.Model, opts swarm.Opti
 		}
 		clipped.Sessions = append(clipped.Sessions, s)
 	}
-	swarms := swarm.Group(clipped, opts)
-	return theoreticalSwarmSavings(model, swarms, daySec, ratio)
+	swarms := swarm.Group(clipped, swarm.DefaultOptions())
+	return theoreticalSwarmSavings(models, swarms, daySec, ratio)
 }

@@ -3,9 +3,8 @@ package experiments
 import (
 	"fmt"
 
-	"consumelocal/internal/core"
+	"consumelocal/internal/energy"
 	"consumelocal/internal/stats"
-	"consumelocal/internal/topology"
 )
 
 // Fig5Result holds the savings decomposition of Fig. 5.
@@ -22,9 +21,12 @@ type Fig5Result struct {
 // between the CDN and the users as swarm capacity grows, and where carbon
 // credit transfer turns users carbon positive. This experiment is purely
 // analytical (no trace or simulation), exactly as in the paper.
-func Fig5(cfg Config) (*Fig5Result, error) {
-	cfg = cfg.withDefaults()
-	probs := topology.DefaultLondon().Probabilities()
+func (s *Suite) Fig5() (*Fig5Result, error) {
+	models := energy.BothModels()
+	closed, err := londonModels(models)
+	if err != nil {
+		return nil, err
+	}
 	grid := stats.LogSpace(0.001, 10000, 200)
 
 	res := &Fig5Result{
@@ -37,11 +39,8 @@ func Fig5(cfg Config) (*Fig5Result, error) {
 	asymptoteRow := []string{"asymptotic CCT (G=1)"}
 	crossoverRow := []string{"capacity where users turn carbon positive"}
 
-	for _, params := range cfg.Models {
-		model, err := core.New(params, probs)
-		if err != nil {
-			return nil, fmt.Errorf("experiments: fig5: %w", err)
-		}
+	for m, params := range models {
+		model := closed[m]
 		ds := Dataset{
 			Title:  fmt.Sprintf("Fig. 5 savings decomposition (%s)", params.Name),
 			XLabel: "capacity",
@@ -53,7 +52,7 @@ func Fig5(cfg Config) (*Fig5Result, error) {
 		cct := Series{Name: "CC Transfer"}
 		crossover := -1.0
 		for _, c := range grid {
-			b := model.Breakdown(c, cfg.UploadRatio)
+			b := model.Breakdown(c, s.cfg.UploadRatio)
 			endToEnd.Points = append(endToEnd.Points, stats.Point{X: c, Y: b.EndToEnd})
 			cdn.Points = append(cdn.Points, stats.Point{X: c, Y: b.CDN})
 			user.Points = append(user.Points, stats.Point{X: c, Y: b.User})

@@ -4,8 +4,7 @@ import (
 	"fmt"
 
 	"consumelocal/internal/carbon"
-	"consumelocal/internal/sim"
-	"consumelocal/internal/trace"
+	"consumelocal/internal/energy"
 )
 
 // Fig6Result holds the per-user carbon credit transfer distribution of
@@ -19,17 +18,11 @@ type Fig6Result struct {
 
 // Fig6 regenerates Fig. 6: the distribution of per-user carbon footprints
 // after the CDN's savings are transferred to uploading users as carbon
-// credits.
-func Fig6(cfg Config) (*Fig6Result, error) {
-	cfg = cfg.withDefaults()
-	tr, err := trace.Generate(cfg.generatorConfig("fig6", cfg.Seed))
+// credits, from the shared replay's user ledgers.
+func (s *Suite) Fig6() (*Fig6Result, error) {
+	_, result, err := s.paperRun()
 	if err != nil {
-		return nil, fmt.Errorf("experiments: fig6: %w", err)
-	}
-	simCfg := sim.DefaultConfig(cfg.UploadRatio)
-	result, err := replay(tr, simCfg)
-	if err != nil {
-		return nil, fmt.Errorf("experiments: fig6: %w", err)
+		return nil, err
 	}
 
 	res := &Fig6Result{
@@ -47,7 +40,7 @@ func Fig6(cfg Config) (*Fig6Result, error) {
 	positiveRow := []string{"carbon positive users"}
 	medianRow := []string{"median per-user CCT"}
 	systemRow := []string{"collective CCT (all users)"}
-	for _, params := range cfg.Models {
+	for _, params := range energy.BothModels() {
 		dist := carbon.Distribute(result.Users, params)
 		res.CDF.Series = append(res.CDF.Series, Series{Name: params.Name, Points: dist.CDF})
 

@@ -8,7 +8,7 @@ import (
 )
 
 func TestFig2ShapeAndBands(t *testing.T) {
-	res, err := Fig2(testConfig())
+	res, err := shared.Fig2()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,7 +73,7 @@ func hasPrefix(s, prefix string) bool {
 func TestFig2TheorySimulationAgreement(t *testing.T) {
 	cfg := testConfig()
 	cfg.Scale = 0.005 // larger swarms for tighter statistics
-	res, err := Fig2(cfg)
+	res, err := NewSuite(cfg).Fig2()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,7 +119,7 @@ func interpolate(points []stats.Point, x float64) float64 {
 }
 
 func TestFig3Distributions(t *testing.T) {
-	res, err := Fig3(testConfig())
+	res, err := shared.Fig3()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,7 +146,7 @@ func TestFig3Distributions(t *testing.T) {
 }
 
 func TestFig4DailySavings(t *testing.T) {
-	res, err := Fig4(testConfig())
+	res, err := shared.Fig4()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,7 +193,7 @@ func TestFig4DailySavings(t *testing.T) {
 }
 
 func TestFig5Decomposition(t *testing.T) {
-	res, err := Fig5(Config{})
+	res, err := NewSuite(Config{}).Fig5()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -239,7 +239,7 @@ func TestFig5Decomposition(t *testing.T) {
 }
 
 func TestFig6CCTDistribution(t *testing.T) {
-	res, err := Fig6(testConfig())
+	res, err := shared.Fig6()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -311,7 +311,7 @@ func fmtSscanf(s string, out *float64) (int, error) {
 }
 
 func TestAblationMatching(t *testing.T) {
-	table, err := AblationMatching(testConfig())
+	table, err := shared.AblationMatching()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -334,7 +334,7 @@ func TestAblationMatching(t *testing.T) {
 }
 
 func TestAblationSwarmScope(t *testing.T) {
-	table, err := AblationSwarmScope(testConfig())
+	table, err := shared.AblationSwarmScope()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -351,7 +351,7 @@ func TestAblationSwarmScope(t *testing.T) {
 }
 
 func TestAblationBudget(t *testing.T) {
-	table, err := AblationBudget(testConfig())
+	table, err := shared.AblationBudget()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -366,7 +366,7 @@ func TestAblationBudget(t *testing.T) {
 }
 
 func TestAblationPlacement(t *testing.T) {
-	table, err := AblationPlacement(testConfig())
+	table, err := shared.AblationPlacement()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -386,12 +386,11 @@ func TestAblationPlacement(t *testing.T) {
 }
 
 func TestPlacementGapGrowsWithSkew(t *testing.T) {
-	cfg := testConfig()
-	flat, err := PlacementGap(cfg, 0)
+	flat, err := shared.PlacementGap(0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	skewed, err := PlacementGap(cfg, 1.0)
+	skewed, err := shared.PlacementGap(1.0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -401,7 +400,7 @@ func TestPlacementGapGrowsWithSkew(t *testing.T) {
 }
 
 func TestAblationParticipation(t *testing.T) {
-	table, err := AblationParticipation(testConfig())
+	table, err := shared.AblationParticipation()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -420,7 +419,7 @@ func TestAblationParticipation(t *testing.T) {
 }
 
 func TestLiveBeatsCatchUp(t *testing.T) {
-	table, err := Live(testConfig())
+	table, err := shared.Live()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -441,7 +440,7 @@ func TestLiveBeatsCatchUp(t *testing.T) {
 }
 
 func TestAccounting(t *testing.T) {
-	table, err := Accounting(testConfig())
+	table, err := shared.Accounting()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -481,7 +480,7 @@ func parseLeadingNumber(t *testing.T, s string) float64 {
 }
 
 func TestProvisioning(t *testing.T) {
-	table, err := Provisioning(testConfig())
+	table, err := shared.Provisioning()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -498,7 +497,7 @@ func TestProvisioning(t *testing.T) {
 }
 
 func TestScaleSweep(t *testing.T) {
-	table, err := ScaleSweep(testConfig(), []float64{0.001, 0.003})
+	table, err := shared.ScaleSweep([]float64{0.001, 0.003})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -519,7 +518,7 @@ func TestScaleSweepDefaultScales(t *testing.T) {
 	}
 	cfg := testConfig()
 	cfg.Days = 5
-	table, err := ScaleSweep(cfg, []float64{0.002, 0.008})
+	table, err := NewSuite(cfg).ScaleSweep([]float64{0.002, 0.008})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -529,7 +528,7 @@ func TestScaleSweepDefaultScales(t *testing.T) {
 }
 
 func TestAblationTopology(t *testing.T) {
-	ds, err := AblationTopology(Config{})
+	ds, err := NewSuite(Config{}).AblationTopology()
 	if err != nil {
 		t.Fatal(err)
 	}

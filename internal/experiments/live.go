@@ -1,44 +1,34 @@
 package experiments
 
-import (
-	"fmt"
-
-	"consumelocal/internal/sim"
-	"consumelocal/internal/trace"
-)
+import "consumelocal/internal/trace"
 
 // Live contrasts the paper's catch-up workload with the live-streaming
 // scenario it lists as future work: the same delivery volume, but
 // synchronised around broadcast schedules. Live swarms reach audience-
 // sized concurrency, pushing savings toward the asymptotic bound, while a
 // catch-up workload of equal volume spreads the same sessions across a
-// day and a catalogue.
-func Live(cfg Config) (*Table, error) {
-	cfg = cfg.withDefaults()
-
-	liveCfg := trace.DefaultLiveConfig(cfg.Scale)
-	liveCfg.Seed = cfg.Seed
+// day and a catalogue. It reads no shared input: it generates and
+// replays a live evening and a catch-up day of its own.
+func (s *Suite) Live() (*Table, error) {
+	liveCfg := trace.DefaultLiveConfig(s.cfg.Scale)
+	liveCfg.Seed = s.cfg.Seed
 	live, err := trace.GenerateLive(liveCfg)
 	if err != nil {
-		return nil, fmt.Errorf("experiments: live: %w", err)
+		return nil, err
 	}
 
-	cuCfg := cfg.generatorConfig("live-vs-catchup", cfg.Seed)
+	cuCfg := s.cfg.monthConfig(s.cfg.Scale)
 	cuCfg.Days = 1
 	cuCfg.TargetSessions = len(live.Sessions)
 	catchup, err := trace.Generate(cuCfg)
 	if err != nil {
-		return nil, fmt.Errorf("experiments: live: %w", err)
+		return nil, err
 	}
 
 	table := &Table{
 		Title:   "Live broadcasts vs catch-up viewing (equal session volume)",
-		Columns: []string{"workload", "sessions", "offload"},
+		Columns: modelColumns("workload", "sessions", "offload"),
 	}
-	for _, p := range cfg.Models {
-		table.Columns = append(table.Columns, p.Name)
-	}
-
 	for _, tc := range []struct {
 		name string
 		tr   *trace.Trace
@@ -46,17 +36,11 @@ func Live(cfg Config) (*Table, error) {
 		{"live evening", live},
 		{"catch-up day", catchup},
 	} {
-		simCfg := sim.DefaultConfig(cfg.UploadRatio)
-		simCfg.TrackUsers = false
-		result, err := replay(tc.tr, simCfg)
+		result, err := replay(tc.tr, s.armConfig())
 		if err != nil {
-			return nil, fmt.Errorf("experiments: live: %s: %w", tc.name, err)
+			return nil, err
 		}
-		row := []string{tc.name, formatCount(len(tc.tr.Sessions)), formatPercent(result.Total.Offload())}
-		for _, params := range cfg.Models {
-			row = append(row, formatPercent(sim.Evaluate(result.Total, params).Savings))
-		}
-		table.Rows = append(table.Rows, row)
+		table.Rows = append(table.Rows, savingsRow(result.Total, tc.name, formatCount(len(tc.tr.Sessions))))
 	}
 	return table, nil
 }

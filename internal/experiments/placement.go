@@ -3,12 +3,10 @@ package experiments
 import (
 	"fmt"
 
-	"consumelocal/internal/core"
+	"consumelocal/internal/energy"
 	"consumelocal/internal/sim"
 	"consumelocal/internal/stats"
 	"consumelocal/internal/swarm"
-	"consumelocal/internal/topology"
-	"consumelocal/internal/trace"
 )
 
 // AblationPlacement probes the robustness of the paper's uniform-placement
@@ -18,74 +16,60 @@ import (
 // populations concentrate in popular exchanges; this experiment skews user
 // placement and compares simulated savings against the uniform-placement
 // closed form.
-func AblationPlacement(cfg Config) (*Table, error) {
-	cfg = cfg.withDefaults()
-
+func (s *Suite) AblationPlacement() (*Table, error) {
 	table := &Table{
 		Title:   "Ablation: user placement skew vs the uniform-placement theory",
 		Columns: []string{"placement", "offload"},
 	}
-	for _, p := range cfg.Models {
-		table.Columns = append(table.Columns, "sim "+p.Name, "theory "+p.Name)
+	for _, params := range energy.BothModels() {
+		table.Columns = append(table.Columns, "sim "+params.Name, "theory "+params.Name)
 	}
-
-	probs := topology.DefaultLondon().Probabilities()
 	for _, skew := range []float64{0, 0.5, 1.0} {
-		gc := cfg.generatorConfig(fmt.Sprintf("placement-skew-%g", skew), cfg.Seed)
-		gc.ExchangeSkew = skew
-		tr, err := trace.Generate(gc)
+		offload, simS, theoS, err := s.placement(skew)
 		if err != nil {
-			return nil, fmt.Errorf("experiments: ablation placement: %w", err)
+			return nil, err
 		}
-		simCfg := sim.DefaultConfig(cfg.UploadRatio)
-		simCfg.TrackUsers = false
-		result, err := replay(tr, simCfg)
-		if err != nil {
-			return nil, fmt.Errorf("experiments: ablation placement: %w", err)
-		}
-
 		label := "uniform (paper)"
 		if skew > 0 {
 			label = fmt.Sprintf("zipf skew %.1f", skew)
 		}
-		row := []string{label, formatPercent(result.Total.Offload())}
-		swarms := swarm.Group(tr, simCfg.Swarm)
-		for _, params := range cfg.Models {
-			model, err := core.New(params, probs)
-			if err != nil {
-				return nil, fmt.Errorf("experiments: ablation placement: %w", err)
-			}
-			simS := sim.Evaluate(result.Total, params).Savings
-			theoS := theoreticalSwarmSavings(model, swarms, tr.HorizonSec, cfg.UploadRatio)
-			row = append(row, formatPercent(simS), formatPercent(theoS))
+		row := []string{label, formatPercent(offload)}
+		for m := range simS {
+			row = append(row, formatPercent(simS[m]), formatPercent(theoS[m]))
 		}
 		table.Rows = append(table.Rows, row)
 	}
 	return table, nil
 }
 
-// PlacementGap summarises, for tests, the absolute gap between simulated
-// and theoretical savings at a given skew under the first configured
-// model.
-func PlacementGap(cfg Config, skew float64) (float64, error) {
-	cfg = cfg.withDefaults()
-	gc := cfg.generatorConfig("placement-gap", cfg.Seed)
-	gc.ExchangeSkew = skew
-	tr, err := trace.Generate(gc)
+// PlacementGap summarises, for tests, the gap between simulated and
+// theoretical savings under the Valancius model at a given placement
+// skew, clamped to [−1, 1].
+func (s *Suite) PlacementGap(skew float64) (float64, error) {
+	_, simS, theoS, err := s.placement(skew)
 	if err != nil {
 		return 0, err
 	}
-	simCfg := sim.DefaultConfig(cfg.UploadRatio)
-	simCfg.TrackUsers = false
-	result, err := replay(tr, simCfg)
+	return stats.Clamp(simS[0]-theoS[0], -1, 1), nil
+}
+
+// placement returns, for the month with users placed at the given
+// exchange skew, its offload and, per energy model, its simulated and
+// closed-form savings. Skew 0 is the paper's uniform placement: the
+// shared month and replay.
+func (s *Suite) placement(skew float64) (offload float64, simS, theoS []float64, err error) {
+	tr, res, err := s.workload(s.cfg.Scale, skew)
 	if err != nil {
-		return 0, err
+		return 0, nil, nil, err
 	}
-	model, err := core.New(cfg.Models[0], topology.DefaultLondon().Probabilities())
+	models := energy.BothModels()
+	closed, err := londonModels(models)
 	if err != nil {
-		return 0, err
+		return 0, nil, nil, err
 	}
-	simS := sim.Evaluate(result.Total, cfg.Models[0]).Savings
-	theoS := theoreticalSwarmSavings(model, swarm.Group(tr, simCfg.Swarm), tr.HorizonSec, cfg.UploadRatio)
-	return stats.Clamp(simS-theoS, -1, 1), nil
+	for _, params := range models {
+		simS = append(simS, sim.Evaluate(res.Total, params).Savings)
+	}
+	theoS = theoreticalSwarmSavings(closed, swarm.Group(tr, swarm.DefaultOptions()), tr.HorizonSec, s.cfg.UploadRatio)
+	return res.Total.Offload(), simS, theoS, nil
 }

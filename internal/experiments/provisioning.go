@@ -4,8 +4,6 @@ import (
 	"fmt"
 
 	"consumelocal/internal/cdn"
-	"consumelocal/internal/sim"
-	"consumelocal/internal/trace"
 )
 
 // Provisioning quantifies the CDN-operator benefit the paper's
@@ -13,18 +11,11 @@ import (
 // server capacity that must be provisioned for peak load once peers
 // absorb part of the demand. Peak reductions typically exceed mean
 // traffic reductions because sharing clips the popular-content peaks
-// hardest.
-func Provisioning(cfg Config) (*Table, error) {
-	cfg = cfg.withDefaults()
-	tr, err := trace.Generate(cfg.generatorConfig("provisioning", cfg.Seed))
+// hardest. It reads the shared replay.
+func (s *Suite) Provisioning() (*Table, error) {
+	_, result, err := s.paperRun()
 	if err != nil {
-		return nil, fmt.Errorf("experiments: provisioning: %w", err)
-	}
-	simCfg := sim.DefaultConfig(cfg.UploadRatio)
-	simCfg.TrackUsers = false
-	result, err := replay(tr, simCfg)
-	if err != nil {
-		return nil, fmt.Errorf("experiments: provisioning: %w", err)
+		return nil, err
 	}
 
 	table := &Table{

@@ -3,8 +3,8 @@ package experiments
 import (
 	"fmt"
 
+	"consumelocal/internal/energy"
 	"consumelocal/internal/sim"
-	"consumelocal/internal/trace"
 )
 
 // ScaleSweep quantifies how the aggregate savings depend on the trace
@@ -14,9 +14,9 @@ import (
 // the paper's full-scale levels (≈30% Valancius / ≈18% Baliga for the
 // biggest ISP) from below as the scale grows. This experiment makes that
 // convergence explicit so that reduced-scale results can be read
-// correctly.
-func ScaleSweep(cfg Config, scales []float64) (*Table, error) {
-	cfg = cfg.withDefaults()
+// correctly. The row at the suite's own scale reads the shared month and
+// replay; every other scale generates and replays a month of its own.
+func (s *Suite) ScaleSweep(scales []float64) (*Table, error) {
 	if len(scales) == 0 {
 		scales = []float64{0.005, 0.01, 0.02, 0.05}
 	}
@@ -26,19 +26,9 @@ func ScaleSweep(cfg Config, scales []float64) (*Table, error) {
 		Columns: []string{"scale", "sessions", "offload", "ISP-1 valancius", "ISP-1 baliga"},
 	}
 	for _, scale := range scales {
-		gc := trace.DefaultGeneratorConfig(scale)
-		gc.Name = fmt.Sprintf("scale-%g", scale)
-		gc.Seed = cfg.Seed
-		gc.Days = cfg.Days
-		tr, err := trace.Generate(gc)
+		tr, result, err := s.workload(scale, 0)
 		if err != nil {
-			return nil, fmt.Errorf("experiments: scale sweep: %w", err)
-		}
-		simCfg := sim.DefaultConfig(cfg.UploadRatio)
-		simCfg.TrackUsers = false
-		result, err := replay(tr, simCfg)
-		if err != nil {
-			return nil, fmt.Errorf("experiments: scale sweep: %w", err)
+			return nil, err
 		}
 		isp1 := result.ISPTotals()[0]
 		row := []string{
@@ -46,7 +36,7 @@ func ScaleSweep(cfg Config, scales []float64) (*Table, error) {
 			formatCount(len(tr.Sessions)),
 			formatPercent(result.Total.Offload()),
 		}
-		for _, params := range cfg.Models {
+		for _, params := range energy.BothModels() {
 			row = append(row, formatPercent(sim.Evaluate(isp1, params).Savings))
 		}
 		table.Rows = append(table.Rows, row)

@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 
+	"consumelocal/internal/energy"
 	"consumelocal/internal/topology"
 	"consumelocal/internal/trace"
 )
@@ -10,29 +11,28 @@ import (
 // Table1 regenerates the paper's Table I: dataset description for two
 // month-long traces (the paper uses Sep 2013 and Jul 2014; we generate two
 // independent synthetic months with slightly different populations, as the
-// real service grew between the two samples).
-func Table1(cfg Config) (*Table, error) {
-	cfg = cfg.withDefaults()
-
-	gcSep := cfg.generatorConfig("sep-2013", cfg.Seed)
-	gcJul := cfg.generatorConfig("jul-2014", cfg.Seed+1)
+// real service grew between the two samples). The Sep-2013 column is the
+// base month; the Jul-2014 month is generated from the next seed.
+func (s *Suite) Table1() (*Table, error) {
+	sep, err := s.Month()
+	if err != nil {
+		return nil, err
+	}
+	gcJul := s.cfg.monthConfig(s.cfg.Scale)
+	gcJul.Seed++
 	// The service grew ~9% in users and ~3% in sessions between samples.
 	gcJul.NumUsers = int(float64(gcJul.NumUsers) * 1.09)
 	gcJul.TargetSessions = int(float64(gcJul.TargetSessions) * 1.03)
+	jul, err := trace.Generate(gcJul)
+	if err != nil {
+		return nil, err
+	}
 
 	table := &Table{
 		Title:   "Table I: Description of the dataset",
-		Columns: []string{"metric", gcSep.Name, gcJul.Name},
+		Columns: []string{"metric", "sep-2013", "jul-2014"},
 	}
-
-	summaries := make([]trace.Summary, 0, 2)
-	for _, gc := range []trace.GeneratorConfig{gcSep, gcJul} {
-		tr, err := trace.Generate(gc)
-		if err != nil {
-			return nil, fmt.Errorf("experiments: table1: %w", err)
-		}
-		summaries = append(summaries, tr.Summarize())
-	}
+	summaries := []trace.Summary{sep.Summarize(), jul.Summarize()}
 
 	table.Rows = [][]string{
 		{"Number of Users", formatCount(summaries[0].Users), formatCount(summaries[1].Users)},
@@ -62,34 +62,31 @@ func Table3() *Table {
 
 // Table4 regenerates the paper's Table IV: the per-bit energy parameters
 // of the Valancius et al. and Baliga et al. models.
-func Table4(cfg Config) *Table {
-	cfg = cfg.withDefaults()
+func Table4() *Table {
+	models := energy.BothModels()
 	table := &Table{
 		Title:   "Table IV: Energy parameters (nJ/bit)",
-		Columns: []string{"variable"},
-	}
-	for _, p := range cfg.Models {
-		table.Columns = append(table.Columns, p.Name)
+		Columns: modelColumns("variable"),
 	}
 
 	rows := []struct {
 		label string
 		value func(pIdx int) string
 	}{
-		{"Content Server (γs)", func(i int) string { return fmt.Sprintf("%.1f", cfg.Models[i].Server) }},
-		{"End User Modem (γm)", func(i int) string { return fmt.Sprintf("%.1f", cfg.Models[i].Modem) }},
-		{"Traditional CDN Network (γcdn)", func(i int) string { return fmt.Sprintf("%.1f", cfg.Models[i].CDNNetwork) }},
-		{"P2P Network within ExP (γexp)", func(i int) string { return fmt.Sprintf("%.2f", cfg.Models[i].ExchangeNetwork) }},
-		{"P2P Network within PoP (γpop)", func(i int) string { return fmt.Sprintf("%.2f", cfg.Models[i].PoPNetwork) }},
-		{"P2P Network within Core (γcore)", func(i int) string { return fmt.Sprintf("%.2f", cfg.Models[i].CoreNetwork) }},
-		{"Power Efficiency (PUE)", func(i int) string { return fmt.Sprintf("%.1f", cfg.Models[i].PUE) }},
-		{"End-user energy loss (l)", func(i int) string { return fmt.Sprintf("%.2f", cfg.Models[i].Loss) }},
-		{"ψs = PUE(γs+γcdn)+lγm", func(i int) string { return fmt.Sprintf("%.1f", cfg.Models[i].ServerPerBit()) }},
-		{"ψm_p = 2lγm", func(i int) string { return fmt.Sprintf("%.1f", cfg.Models[i].PeerModemPerBit()) }},
+		{"Content Server (γs)", func(i int) string { return fmt.Sprintf("%.1f", models[i].Server) }},
+		{"End User Modem (γm)", func(i int) string { return fmt.Sprintf("%.1f", models[i].Modem) }},
+		{"Traditional CDN Network (γcdn)", func(i int) string { return fmt.Sprintf("%.1f", models[i].CDNNetwork) }},
+		{"P2P Network within ExP (γexp)", func(i int) string { return fmt.Sprintf("%.2f", models[i].ExchangeNetwork) }},
+		{"P2P Network within PoP (γpop)", func(i int) string { return fmt.Sprintf("%.2f", models[i].PoPNetwork) }},
+		{"P2P Network within Core (γcore)", func(i int) string { return fmt.Sprintf("%.2f", models[i].CoreNetwork) }},
+		{"Power Efficiency (PUE)", func(i int) string { return fmt.Sprintf("%.1f", models[i].PUE) }},
+		{"End-user energy loss (l)", func(i int) string { return fmt.Sprintf("%.2f", models[i].Loss) }},
+		{"ψs = PUE(γs+γcdn)+lγm", func(i int) string { return fmt.Sprintf("%.1f", models[i].ServerPerBit()) }},
+		{"ψm_p = 2lγm", func(i int) string { return fmt.Sprintf("%.1f", models[i].PeerModemPerBit()) }},
 	}
 	for _, r := range rows {
 		row := []string{r.label}
-		for i := range cfg.Models {
+		for i := range models {
 			row = append(row, r.value(i))
 		}
 		table.Rows = append(table.Rows, row)

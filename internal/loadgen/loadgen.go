@@ -13,9 +13,9 @@
 // latencies land in internal/obs histograms (the daemon's own histogram
 // implementation), scrapes are parsed with obs.ParseExposition (the CI
 // metrics linter), and the workload is the evening-TV live trace the
-// ingest API was designed around. The JSON report (BENCH_daemon.json)
-// measures the whole service under concurrent HTTP load. See
-// docs/LOADTEST.md.
+// ingest API was designed around. The JSON report (Config.Output)
+// measures the whole service under concurrent HTTP load; the gated
+// benchmark of record is perfbench/. See docs/LOADTEST.md.
 package loadgen
 
 import (
@@ -110,7 +110,6 @@ func DefaultConfig() Config {
 		Scale:        0.002,
 		Window:       3600,
 		Seed:         1,
-		Output:       "BENCH_daemon.json",
 	}
 }
 

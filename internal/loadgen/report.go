@@ -13,8 +13,7 @@ import (
 	"consumelocal/internal/obs"
 )
 
-// Report is the BENCH_daemon.json schema: the daemon-side perf
-// trajectory. Client-side
+// Report is the JSON report schema of a load run. Client-side
 // numbers come from the harness's own histograms and counters;
 // server-side numbers come from /metrics scrapes bracketing the run,
 // so the two views can be cross-checked (Skew).
