@@ -14,17 +14,17 @@ import (
 )
 
 // runLoadtest hammers a real consumelocald over HTTP with a concurrent
-// client fleet — ingest
-// producers (some silent, exercising the watermark=wall fallback),
-// snapshot followers and spooled-trace submitters — and logs the
+// client fleet — ingest producers (some silent, exercising the
+// watermark=wall fallback), snapshot followers and spooled-trace
+// submitters in a fixed 4:3:1 mix — and logs the
 // latency/throughput/error summary; -o also writes the JSON report to a
-// file. With -addr it
-// drives an already-running daemon; without, it spawns -daemon itself
-// on an ephemeral port and tears it down after the run. -chaos arms
-// the fault injection: the spawned daemon is SIGKILLed and restarted
-// mid-run on the same -data-dir, and the report gains recovery timings
-// and a post-crash ledger cross-check (see docs/DURABILITY.md). See
-// docs/LOADTEST.md for the workload and report schema.
+// file. With -addr it drives an already-running daemon; without, it
+// spawns -daemon itself on an ephemeral port and tears it down after
+// the run. -chaos arms the fault injection: the spawned daemon is
+// SIGKILLed and restarted mid-run on the same -data-dir, and the report
+// gains recovery timings and a post-crash ledger cross-check (see
+// docs/DURABILITY.md). See docs/LOADTEST.md for the workload and report
+// schema.
 func runLoadtest(args []string, out io.Writer) error {
 	def := loadgen.DefaultConfig()
 	fs := flag.NewFlagSet("consumelocal loadtest", flag.ContinueOnError)
@@ -35,12 +35,7 @@ func runLoadtest(args []string, out io.Writer) error {
 	duration := fs.Duration("duration", def.Duration, "how long to drive load")
 	rate := fs.Float64("rate", def.Rate, "aggregate offered op rate per second, 0 for unpaced")
 	burst := fs.Int("burst", def.Burst, "token-bucket burst capacity")
-	mixFlag := fs.String("mix", def.Mix, "producers:followers:trace client ratio")
-	wall := fs.Float64("wall", def.WallFraction, "fraction of producers opening jobs with watermark=wall")
 	scale := fs.Float64("scale", def.Scale, "live-trace scale for the shared workload")
-	window := fs.Int64("window", def.Window, "ingest reporting window in trace seconds")
-	seed := fs.Int64("seed", def.Seed, "trace and jitter seed")
-	maxJobs := fs.Int("max-jobs", 0, "-max-jobs for a spawned daemon (0 derives from the fleet)")
 	chaos := fs.Bool("chaos", false, "SIGKILL and restart the spawned daemon mid-run (requires spawn mode; implies a durable -data-dir)")
 	chaosKills := fs.Int("chaos-kills", 1, "kill/restart cycles in -chaos mode, spread evenly through the run (live ingest jobs must survive every one)")
 	dataDir := fs.String("data-dir", "", "-data-dir for a spawned daemon (empty with -chaos uses a temp dir)")
@@ -53,23 +48,18 @@ func runLoadtest(args []string, out io.Writer) error {
 	}
 
 	cfg := loadgen.Config{
-		Addr:         *addr,
-		DaemonPath:   *daemonPath,
-		Clients:      *clients,
-		Duration:     *duration,
-		Rate:         *rate,
-		Burst:        *burst,
-		Mix:          *mixFlag,
-		WallFraction: *wall,
-		Scale:        *scale,
-		Window:       *window,
-		Seed:         *seed,
-		MaxJobs:      *maxJobs,
-		Chaos:        *chaos,
-		ChaosKills:   *chaosKills,
-		DataDir:      *dataDir,
-		Output:       *output,
-		Out:          out,
+		Addr:       *addr,
+		DaemonPath: *daemonPath,
+		Clients:    *clients,
+		Duration:   *duration,
+		Rate:       *rate,
+		Burst:      *burst,
+		Scale:      *scale,
+		Chaos:      *chaos,
+		ChaosKills: *chaosKills,
+		DataDir:    *dataDir,
+		Output:     *output,
+		Out:        out,
 	}
 
 	// Ctrl-C ends the run early but still writes the report for what

@@ -102,13 +102,14 @@ type SystemTransfer struct {
 	NetNormalized float64
 }
 
-// Transfer aggregates the credit flow across all users.
+// Transfer aggregates the credit flow across all users. It sums in
+// user-ID order, so the float totals do not depend on map iteration
+// order.
 func Transfer(users map[uint32]*sim.UserStats, params energy.Params) SystemTransfer {
 	st := SystemTransfer{Model: params.Name}
-	for _, u := range users {
-		ue := sim.PriceUser(*u, params)
-		st.CreditJoules += ue.CreditJoules
-		st.UserFootprintJoules += ue.ConsumptionJoules
+	for _, b := range Balances(users, params) {
+		st.CreditJoules += b.Energy.CreditJoules
+		st.UserFootprintJoules += b.Energy.ConsumptionJoules
 	}
 	if st.UserFootprintJoules > 0 {
 		st.NetNormalized = (st.CreditJoules - st.UserFootprintJoules) / st.UserFootprintJoules

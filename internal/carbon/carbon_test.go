@@ -2,6 +2,7 @@ package carbon
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 
 	"consumelocal/internal/energy"
@@ -102,6 +103,32 @@ func TestTransfer(t *testing.T) {
 	wantNet := (wantCredit - wantFootprint) / wantFootprint
 	if math.Abs(st.NetNormalized-wantNet) > 1e-9 {
 		t.Errorf("net = %v, want %v", st.NetNormalized, wantNet)
+	}
+}
+
+// Fig. 6 prints the collective CCT, so Transfer must give the same bits
+// on every call: float addition is not associative, and summing in map
+// iteration order does not.
+func TestTransferDeterministic(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	users := make(map[uint32]*sim.UserStats, 2000)
+	for id := uint32(0); id < 2000; id++ {
+		down := math.Exp(rng.Float64()*20) * 1e3
+		users[id] = &sim.UserStats{
+			DownloadedBits: down,
+			FromPeersBits:  down * rng.Float64(),
+			UploadedBits:   math.Exp(rng.Float64()*20) * 1e3,
+		}
+	}
+	p := energy.Valancius()
+	want := Transfer(users, p)
+	for i := 0; i < 50; i++ {
+		got := Transfer(users, p)
+		if math.Float64bits(got.CreditJoules) != math.Float64bits(want.CreditJoules) ||
+			math.Float64bits(got.UserFootprintJoules) != math.Float64bits(want.UserFootprintJoules) ||
+			math.Float64bits(got.NetNormalized) != math.Float64bits(want.NetNormalized) {
+			t.Fatalf("call %d: Transfer = %+v, first call %+v", i, got, want)
+		}
 	}
 }
 

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"consumelocal/internal/stats"
@@ -513,17 +514,19 @@ func TestScaleSweep(t *testing.T) {
 }
 
 func TestScaleSweepDefaultScales(t *testing.T) {
-	if testing.Short() {
-		t.Skip("full default sweep is slow")
+	cases := []struct {
+		scale float64
+		want  []float64
+	}{
+		{0.01, []float64{0.005, 0.01, 0.02, 0.05}},
+		{0.003, []float64{0.0015, 0.003, 0.006, 0.015}},
+		{0.3, []float64{0.15, 0.3, 0.6}},
+		{1, []float64{0.5, 1}},
 	}
-	cfg := testConfig()
-	cfg.Days = 5
-	table, err := NewSuite(cfg).ScaleSweep([]float64{0.002, 0.008})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(table.Rows) != 2 {
-		t.Fatalf("rows = %d", len(table.Rows))
+	for _, tc := range cases {
+		if got := sweepScales(tc.scale); !slices.Equal(got, tc.want) {
+			t.Errorf("sweepScales(%g) = %v, want %v", tc.scale, got, tc.want)
+		}
 	}
 }
 

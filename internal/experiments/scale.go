@@ -14,11 +14,13 @@ import (
 // the paper's full-scale levels (≈30% Valancius / ≈18% Baliga for the
 // biggest ISP) from below as the scale grows. This experiment makes that
 // convergence explicit so that reduced-scale results can be read
-// correctly. The row at the suite's own scale reads the shared month and
-// replay; every other scale generates and replays a month of its own.
+// correctly. With no scales given it sweeps ½, 1, 2 and 5 times the
+// suite's scale, dropping any above the paper's full size (scale 1). The
+// row at the suite's own scale reads the shared month and replay; every
+// other scale generates and replays a month of its own.
 func (s *Suite) ScaleSweep(scales []float64) (*Table, error) {
 	if len(scales) == 0 {
-		scales = []float64{0.005, 0.01, 0.02, 0.05}
+		scales = sweepScales(s.cfg.Scale)
 	}
 
 	table := &Table{
@@ -42,4 +44,16 @@ func (s *Suite) ScaleSweep(scales []float64) (*Table, error) {
 		table.Rows = append(table.Rows, row)
 	}
 	return table, nil
+}
+
+// sweepScales is ScaleSweep's default ladder around scale: ½, 1, 2 and
+// 5 times it, capped at the paper's full size.
+func sweepScales(scale float64) []float64 {
+	var out []float64
+	for _, f := range []float64{0.5, 1, 2, 5} {
+		if f*scale <= 1 {
+			out = append(out, f*scale)
+		}
+	}
+	return out
 }

@@ -20,6 +20,10 @@ import (
 // down mid-body when the run clock expires.
 const opGrace = 10 * time.Second
 
+// jitter returns client id's backoff-jitter source, seeded by id so a
+// run's retry schedule repeats.
+func jitter(id int) *rand.Rand { return rand.New(rand.NewSource(1 + int64(id))) }
+
 // jobInfo is the slice of the daemon's jobView the clients need.
 type jobInfo struct {
 	ID        int    `json:"id"`
@@ -68,9 +72,9 @@ func (r *run) do(ctx context.Context, method, rawURL, contentType, body string, 
 			// not harness noise, and land in their own ledger so the
 			// network counter keeps meaning "unexpected".
 			if r.window.Load() {
-				r.restartErrs.Inc()
+				r.restartErrs.Add(1)
 			} else {
-				r.errNet.Inc()
+				r.errNet.Add(1)
 			}
 		}
 		return opResult{elapsed: elapsed, err: err}
@@ -95,13 +99,13 @@ func (r *run) do(ctx context.Context, method, rawURL, contentType, body string, 
 	switch {
 	case expected:
 	case resp.StatusCode >= 500:
-		r.err5xx.Inc()
+		r.err5xx.Add(1)
 	case resp.StatusCode == http.StatusTooManyRequests:
-		r.quota429.Inc()
+		r.quota429.Add(1)
 	case resp.StatusCode == http.StatusConflict:
-		r.conflict409.Inc()
+		r.conflict409.Add(1)
 	case resp.StatusCode >= 400:
-		r.err4xx.Inc()
+		r.err4xx.Add(1)
 	}
 	return opResult{status: resp.StatusCode, body: raw, elapsed: elapsed, retryAfter: retryAfter}
 }
@@ -115,7 +119,7 @@ func (r *run) ingestJobURL(name string, wall bool) string {
 	q.Set("users", fmt.Sprint(r.tr.NumUsers))
 	q.Set("content", fmt.Sprint(r.tr.NumContent))
 	q.Set("isps", fmt.Sprint(r.tr.NumISPs))
-	q.Set("window", fmt.Sprint(r.cfg.Window))
+	q.Set("window", fmt.Sprint(windowSec))
 	if wall {
 		q.Set("watermark", "wall")
 		q.Set("wall_interval", "50ms")
@@ -138,7 +142,7 @@ func (r *run) ingestJobURL(name string, wall bool) string {
 // clock with their pushes, so late batches legitimately collect 409
 // ordering rejections whose accepted prefixes still count.
 func (r *run) producer(ctx context.Context, id int, wall bool) {
-	rng := rand.New(rand.NewSource(r.cfg.Seed + int64(id)))
+	rng := jitter(id)
 	attempt := 0
 	for ctx.Err() == nil {
 		if err := r.pace.wait(ctx); err != nil {
@@ -156,10 +160,10 @@ func (r *run) producer(ctx context.Context, id int, wall bool) {
 		attempt = 0
 		var job jobInfo
 		if err := json.Unmarshal(res.body, &job); err != nil {
-			r.errNet.Inc()
+			r.errNet.Add(1)
 			continue
 		}
-		r.jobsOpened.Inc()
+		r.jobsOpened.Add(1)
 
 		if alive := r.pushSchedule(ctx, rng, job.ID, wall); !alive {
 			// The job died under us (idle watchdog, cancel); open a
@@ -172,7 +176,7 @@ func (r *run) producer(ctx context.Context, id int, wall bool) {
 		// not offered load.
 		if res := r.do(ctx, http.MethodPost, fmt.Sprintf("%s/v1/jobs/%d/finish", r.base, job.ID), "", "", nil,
 			http.StatusNotFound, http.StatusConflict); res.status == http.StatusOK {
-			r.jobsFinished.Inc()
+			r.jobsFinished.Add(1)
 		}
 	}
 }
@@ -218,7 +222,7 @@ func (r *run) pushSchedule(ctx context.Context, rng *rand.Rand, jobID int, wall 
 					Total  *int64 `json:"total_pushed"`
 				}
 				if json.Unmarshal(pres.body, &out) == nil && out.Pushed != nil {
-					r.sessionsAccepted.Add(float64(*out.Pushed))
+					r.sessionsAccepted.Add(*out.Pushed)
 					if out.Total != nil {
 						acked = *out.Total
 					} else {
@@ -261,8 +265,8 @@ func (r *run) pushSchedule(ctx context.Context, rng *rand.Rand, jobID int, wall 
 					return false
 				}
 				if skip := v.Pushed - acked; skip > 0 {
-					r.sessionsAccepted.Add(float64(skip))
-					r.reattached.Inc()
+					r.sessionsAccepted.Add(skip)
+					r.reattached.Add(1)
 					acked = v.Pushed
 					body = skipRows(body, skip)
 					if body == "" {
@@ -313,14 +317,13 @@ func (r *run) probeJob(ctx context.Context, rng *rand.Rand, jobID int) (v jobInf
 // inter-line gap — into the snapshot histogram. When the stream ends
 // (job settled, evicted, or cancelled) it picks another.
 func (r *run) follower(ctx context.Context, id int) {
-	rng := rand.New(rand.NewSource(r.cfg.Seed + int64(id)))
+	rng := jitter(id)
 	for ctx.Err() == nil {
 		job, ok := r.pickJob(ctx, rng)
 		if !ok {
 			transientRetry.sleep(ctx, rng, 0, 0)
 			continue
 		}
-		r.followStreams.Inc()
 		r.followOne(ctx, job)
 	}
 }
@@ -369,14 +372,14 @@ func (r *run) followOne(ctx context.Context, job jobInfo) {
 	resp, err := r.client.Do(req)
 	if err != nil {
 		if ctx.Err() == nil {
-			r.errNet.Inc()
+			r.errNet.Add(1)
 		}
 		return
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		if resp.StatusCode >= 500 {
-			r.err5xx.Inc()
+			r.err5xx.Add(1)
 		}
 		io.Copy(io.Discard, io.LimitReader(resp.Body, 1<<20))
 		return
@@ -388,7 +391,6 @@ func (r *run) followOne(ctx context.Context, job jobInfo) {
 		now := time.Now()
 		r.snapLat.Observe(now.Sub(last).Seconds())
 		last = now
-		r.snapshotLines.Inc()
 	}
 }
 
@@ -397,7 +399,7 @@ func (r *run) followOne(ctx context.Context, job jobInfo) {
 // poll is terminal success — the daemon evicted the finished job to
 // make room, which is exactly what it should do under this churn.
 func (r *run) traceClient(ctx context.Context, id int) {
-	rng := rand.New(rand.NewSource(r.cfg.Seed + int64(id)))
+	rng := jitter(id)
 	attempt := 0
 	for ctx.Err() == nil {
 		if err := r.pace.wait(ctx); err != nil {
@@ -412,10 +414,10 @@ func (r *run) traceClient(ctx context.Context, id int) {
 		attempt = 0
 		var job jobInfo
 		if err := json.Unmarshal(res.body, &job); err != nil {
-			r.errNet.Inc()
+			r.errNet.Add(1)
 			continue
 		}
-		r.tracesSubmitted.Inc()
+		r.tracesSubmitted.Add(1)
 
 		for ctx.Err() == nil {
 			pres := r.doIdempotent(ctx, rng, http.MethodGet, fmt.Sprintf("%s/v1/jobs/%d", r.base, job.ID), nil,

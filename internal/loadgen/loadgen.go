@@ -1,13 +1,13 @@
 // Package loadgen is the production load harness behind `consumelocal
 // loadtest`: it drives a running consumelocald — or spawns one itself —
-// with hundreds of concurrent clients in a configurable workload mix
-// (live ingest producers, snapshot followers, spooled trace
-// submissions), shapes the offered load with an open-loop token-bucket
-// arrival model, and measures what the daemon actually delivered:
-// per-operation latency percentiles from the repo's own fixed-bucket
-// histograms, HTTP error and backpressure-stall counts, ingest
-// throughput, daemon RSS, and a client-versus-server cross-check built
-// from /metrics scrapes taken at the start, middle and end of the run.
+// with hundreds of concurrent clients in a fixed workload mix (live
+// ingest producers, snapshot followers, spooled trace submissions),
+// shapes the offered load with an open-loop token-bucket arrival model,
+// and measures what the daemon actually delivered: per-operation
+// latency percentiles from the repo's own fixed-bucket histograms, HTTP
+// error and backpressure-stall counts, ingest throughput, daemon RSS,
+// and a client-versus-server cross-check built from /metrics scrapes
+// taken at the start and end of the run.
 //
 // The harness is deliberately built from the same parts it measures:
 // latencies land in internal/obs histograms (the daemon's own histogram
@@ -32,7 +32,21 @@ import (
 
 	"consumelocal"
 	"consumelocal/internal/obs"
+	"consumelocal/internal/trace"
 )
+
+// The workload's fixed shape. The fleet is apportioned 4:3:1 across
+// producers, followers and trace submitters; wallFraction of the
+// producers open their jobs with watermark=wall, the silent-producer
+// workload the daemon's wall-clock fallback exists for; every ingest
+// job reports in windowSec-second trace windows.
+const (
+	wallFraction = 0.25
+	windowSec    = 3600
+)
+
+// fleetMix is the producers:followers:trace apportionment.
+var fleetMix = mix{producers: 4, followers: 3, trace: 1}
 
 // Config parameterises one load-test run. The zero value is not
 // runnable; start from DefaultConfig.
@@ -42,7 +56,8 @@ type Config struct {
 	// ephemeral port and tear it down with the run.
 	Addr string
 	// DaemonPath is the consumelocald binary to spawn when Addr is
-	// empty.
+	// empty. Its -max-jobs quota is derived from the fleet, wide
+	// enough that no client is artificially starved.
 	DaemonPath string
 	// Clients is the total number of concurrent clients across all
 	// workload classes.
@@ -57,24 +72,9 @@ type Config struct {
 	// Burst is the token-bucket capacity: how many operations may fire
 	// back-to-back after an idle stretch.
 	Burst int
-	// Mix apportions Clients across the workload classes as a
-	// producers:followers:trace ratio, e.g. "4:3:1".
-	Mix string
-	// WallFraction is the fraction of ingest producers that open their
-	// jobs with watermark=wall — the silent-producer workload the
-	// daemon's wall-clock fallback exists for.
-	WallFraction float64
 	// Scale sizes the shared evening-TV live trace (relative to the
 	// paper's city-scale broadcast).
 	Scale float64
-	// Window is the ingest reporting window in trace seconds (>= 60).
-	Window int64
-	// Seed feeds the trace generator and the per-client jitter.
-	Seed int64
-	// MaxJobs is passed to a spawned daemon as -max-jobs. Zero derives
-	// a quota wide enough that the fleet is not artificially starved
-	// (producers + trace clients + slack).
-	MaxJobs int
 	// Chaos injects a fault mid-run: halfway through, the spawned
 	// daemon is SIGKILLed and restarted on the same address and data
 	// directory while the fleet keeps driving load. The report gains a
@@ -97,19 +97,15 @@ type Config struct {
 	Out io.Writer
 }
 
-// DefaultConfig returns the acceptance-shaped run: 256 clients in a
-// 4:3:1 producer:follower:trace mix for 30 seconds at 200 ops/s.
+// DefaultConfig returns the acceptance-shaped run: 256 clients for 30
+// seconds at 200 ops/s.
 func DefaultConfig() Config {
 	return Config{
-		Clients:      256,
-		Duration:     30 * time.Second,
-		Rate:         200,
-		Burst:        64,
-		Mix:          "4:3:1",
-		WallFraction: 0.25,
-		Scale:        0.002,
-		Window:       3600,
-		Seed:         1,
+		Clients:  256,
+		Duration: 30 * time.Second,
+		Rate:     200,
+		Burst:    64,
+		Scale:    0.002,
 	}
 }
 
@@ -130,20 +126,8 @@ func (c *Config) Validate() error {
 	if c.Burst < 1 {
 		return fmt.Errorf("loadgen: -burst must be at least 1, got %d", c.Burst)
 	}
-	if _, err := parseMix(c.Mix); err != nil {
-		return err
-	}
-	if c.WallFraction < 0 || c.WallFraction > 1 {
-		return fmt.Errorf("loadgen: -wall must be in [0,1], got %g", c.WallFraction)
-	}
 	if c.Scale <= 0 {
 		return fmt.Errorf("loadgen: -scale must be positive, got %g", c.Scale)
-	}
-	if c.Window < 60 {
-		return fmt.Errorf("loadgen: -window must be at least 60s, got %d", c.Window)
-	}
-	if c.MaxJobs < 0 {
-		return fmt.Errorf("loadgen: -max-jobs must be non-negative, got %d", c.MaxJobs)
 	}
 	if c.Chaos && c.Addr != "" {
 		return fmt.Errorf("loadgen: -chaos needs a spawned daemon (drop -addr): the harness only kills daemons it owns")
@@ -160,36 +144,6 @@ func (c *Config) Validate() error {
 // mix is the client apportionment across workload classes.
 type mix struct {
 	producers, followers, trace int
-}
-
-// parseMix parses a "p:f:t" ratio of non-negative integers, at least
-// one positive.
-func parseMix(s string) (mix, error) {
-	parts := strings.Split(s, ":")
-	if len(parts) != 3 {
-		return mix{}, fmt.Errorf("loadgen: -mix %q must be producers:followers:trace, e.g. 4:3:1", s)
-	}
-	var w [3]int
-	for i, p := range parts {
-		n := 0
-		if p == "" {
-			return mix{}, fmt.Errorf("loadgen: -mix %q has an empty component", s)
-		}
-		for _, c := range p {
-			if c < '0' || c > '9' {
-				return mix{}, fmt.Errorf("loadgen: -mix component %q is not a non-negative integer", p)
-			}
-			n = n*10 + int(c-'0')
-			if n > 1_000_000 {
-				return mix{}, fmt.Errorf("loadgen: -mix component %q is out of range", p)
-			}
-		}
-		w[i] = n
-	}
-	if w[0]+w[1]+w[2] == 0 {
-		return mix{}, fmt.Errorf("loadgen: -mix %q must have at least one positive component", s)
-	}
-	return mix{producers: w[0], followers: w[1], trace: w[2]}, nil
 }
 
 // apportion splits clients across the mix by largest remainder, then
@@ -250,21 +204,18 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	m, _ := parseMix(cfg.Mix)
-	counts := m.apportion(cfg.Clients)
-	wallProducers := int(math.Round(cfg.WallFraction * float64(counts.producers)))
+	counts := fleetMix.apportion(cfg.Clients)
+	wallProducers := int(math.Round(wallFraction * float64(counts.producers)))
 
 	// One shared schedule: the evening-TV live trace, pre-rendered into
 	// hourly CSV batches every producer replays, and a spooled-CSV body
 	// for the trace submitters. Rendering once keeps the client hot
 	// loops free of per-op trace work — they only do HTTP.
-	liveCfg := consumelocal.DefaultLiveTraceConfig(cfg.Scale)
-	liveCfg.Seed = cfg.Seed
-	tr, err := consumelocal.GenerateLiveTrace(liveCfg)
+	tr, err := consumelocal.GenerateLiveTrace(consumelocal.DefaultLiveTraceConfig(cfg.Scale))
 	if err != nil {
 		return nil, fmt.Errorf("loadgen: generate live trace: %w", err)
 	}
-	batches := renderBatches(tr, cfg.Window)
+	batches := renderBatches(tr, windowSec)
 	traceBody, err := renderTraceBody(tr)
 	if err != nil {
 		return nil, err
@@ -273,13 +224,14 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 	r := &run{
 		cfg:       cfg,
 		counts:    counts,
-		wall:      wallProducers,
 		tr:        tr,
 		batches:   batches,
 		traceBody: traceBody,
 		pace:      newPacer(cfg.Rate, cfg.Burst),
+		createLat: obs.NewHistogram(obs.LatencyBuckets),
+		batchLat:  obs.NewHistogram(obs.LatencyBuckets),
+		snapLat:   obs.NewHistogram(obs.LatencyBuckets),
 	}
-	r.initMetrics()
 	r.client = &http.Client{
 		Transport: &http.Transport{
 			// The fleet holds one long-lived connection per client;
@@ -294,13 +246,6 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 
 	base := cfg.Addr
 	if base == "" {
-		maxJobs := cfg.MaxJobs
-		if maxJobs == 0 {
-			// Every producer and trace client can hold a job at once;
-			// the slack absorbs recycling overlap (finish still
-			// draining while the successor job opens).
-			maxJobs = counts.producers + counts.trace + 8
-		}
 		dataDir := cfg.DataDir
 		if cfg.Chaos && dataDir == "" {
 			dataDir, err = os.MkdirTemp("", "loadgen-chaos-*")
@@ -309,7 +254,10 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 			}
 			defer os.RemoveAll(dataDir)
 		}
-		r.spawnOpt = spawnOpts{maxJobs: maxJobs, dataDir: dataDir}
+		// Every producer and trace client can hold a job at once; the
+		// slack absorbs recycling overlap (finish still draining while
+		// the successor job opens).
+		r.spawnOpt = spawnOpts{maxJobs: counts.producers + counts.trace + 8, dataDir: dataDir}
 		d, err := spawnDaemon(ctx, cfg.DaemonPath, r.spawnOpt, cfg.Out)
 		if err != nil {
 			return nil, err
@@ -383,27 +331,17 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 		close(chaosDone)
 	}
 
-	// The supervisor samples RSS while the fleet runs and takes the
-	// mid-run scrape at half time — the cross-check point where client
-	// and server counters should already have diverged if they ever
-	// will. In chaos mode half time is also the kill point, so the
-	// scrape is best-effort against a daemon that may be mid-restart.
-	var mid *serverSample
+	// The supervisor samples the spawned daemon's RSS while the fleet
+	// runs.
 	superDone := make(chan struct{})
 	go func() {
 		defer close(superDone)
-		midAt := time.After(cfg.Duration / 2)
 		tick := time.NewTicker(250 * time.Millisecond)
 		defer tick.Stop()
 		for {
 			select {
 			case <-runCtx.Done():
 				return
-			case <-midAt:
-				if s, err := r.scrape(ctx); err == nil {
-					mid = s
-				}
-				midAt = nil
 			case <-tick.C:
 				if d := r.curDaemon(); d != nil {
 					d.sampleRSS()
@@ -427,7 +365,7 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 		return nil, fmt.Errorf("loadgen: final /metrics scrape: %w", err)
 	}
 
-	rep := r.buildReport(elapsed, initial, mid, final, chaosRes)
+	rep := r.buildReport(elapsed, initial, final, chaosRes)
 	r.logf("loadtest: %.0f sessions/s (%d accepted over %.1fs); create p95 %.1fms, batch p95/p99 %.1f/%.1fms, snapshot p95 %.1fms",
 		rep.Ingest.SessionsPerSec, rep.Ingest.SessionsAccepted, rep.ElapsedSec,
 		rep.Latency.Create.P95Ms, rep.Latency.Batch.P95Ms, rep.Latency.Batch.P99Ms, rep.Latency.Snapshot.P95Ms)
@@ -470,22 +408,17 @@ type hourBatch struct {
 
 func renderBatches(tr *consumelocal.Trace, window int64) []hourBatch {
 	var batches []hourBatch
+	var buf []byte
 	sessions := tr.Sessions
 	for from := int64(0); from < tr.HorizonSec; from += window {
-		boundary := from + window
-		if boundary > tr.HorizonSec {
-			boundary = tr.HorizonSec
-		}
-		var b strings.Builder
+		boundary := min(from+window, tr.HorizonSec)
+		buf = buf[:0]
 		n := 0
-		for len(sessions) > 0 && sessions[0].StartSec < boundary {
-			s := sessions[0]
-			fmt.Fprintf(&b, "%d,%d,%d,%d,%d,%d,%d\n",
-				s.UserID, s.ContentID, s.ISP, s.Exchange, s.StartSec, s.DurationSec, s.Bitrate)
-			sessions = sessions[1:]
-			n++
+		for ; n < len(sessions) && sessions[n].StartSec < boundary; n++ {
+			buf = trace.AppendSessionCSV(buf, sessions[n])
 		}
-		batches = append(batches, hourBatch{csv: b.String(), boundary: boundary, sessions: n})
+		sessions = sessions[n:]
+		batches = append(batches, hourBatch{csv: string(buf), boundary: boundary, sessions: n})
 	}
 	return batches
 }
@@ -502,11 +435,10 @@ func renderTraceBody(tr *consumelocal.Trace) (string, error) {
 
 // run is the shared state of one load test: configuration, the
 // pre-rendered workload, the shared pacer and HTTP client, and the
-// measurement registry the clients write into.
+// latency histograms and tallies the clients write into.
 type run struct {
 	cfg       Config
 	counts    mix
-	wall      int
 	base      string
 	tr        *consumelocal.Trace
 	batches   []hourBatch
@@ -524,24 +456,21 @@ type run struct {
 	spawnOpt spawnOpts
 	window   atomic.Bool
 
-	reg       *obs.Registry
-	createLat *obs.Histogram
-	batchLat  *obs.Histogram
-	snapLat   *obs.Histogram
+	createLat *obs.Histogram // job-opening POSTs (ingest and spooled trace)
+	batchLat  *obs.Histogram // session-batch POSTs
+	snapLat   *obs.Histogram // follower time to first NDJSON line, then inter-line gaps
 
-	sessionsAccepted *obs.Counter
-	jobsOpened       *obs.Counter
-	jobsFinished     *obs.Counter
-	tracesSubmitted  *obs.Counter
-	snapshotLines    *obs.Counter
-	followStreams    *obs.Counter
-	quota429         *obs.Counter
-	conflict409      *obs.Counter
-	err4xx           *obs.Counter
-	err5xx           *obs.Counter
-	errNet           *obs.Counter
-	restartErrs      *obs.Counter
-	reattached       *obs.Counter
+	sessionsAccepted atomic.Int64 // pushed counts the daemon acknowledged, 409 prefixes included
+	jobsOpened       atomic.Int64
+	jobsFinished     atomic.Int64
+	tracesSubmitted  atomic.Int64
+	quota429         atomic.Int64
+	conflict409      atomic.Int64
+	err4xx           atomic.Int64 // excluding the counted 429s and 409s
+	err5xx           atomic.Int64
+	errNet           atomic.Int64 // excluding run-shutdown cancellations
+	restartErrs      atomic.Int64 // transport failures inside the chaos restart window
+	reattached       atomic.Int64
 }
 
 // curDaemon returns the live spawned daemon (nil in -addr mode).
@@ -555,42 +484,6 @@ func (r *run) setDaemon(d *daemon) {
 	r.dmu.Lock()
 	defer r.dmu.Unlock()
 	r.daemon = d
-}
-
-func (r *run) initMetrics() {
-	r.reg = obs.NewRegistry()
-	r.createLat = r.reg.Histogram("consumelocal_loadtest_create_latency_seconds",
-		"Latency of job-opening POSTs (ingest and spooled trace).", obs.LatencyBuckets)
-	r.batchLat = r.reg.Histogram("consumelocal_loadtest_batch_latency_seconds",
-		"Latency of session-batch POSTs.", obs.LatencyBuckets)
-	r.snapLat = r.reg.Histogram("consumelocal_loadtest_snapshot_latency_seconds",
-		"Snapshot follower latency: time to first NDJSON line, then inter-line gaps.", obs.LatencyBuckets)
-	r.sessionsAccepted = r.reg.Counter("consumelocal_loadtest_sessions_accepted_total",
-		"Sessions the daemon acknowledged (pushed counts, including 409 prefixes).")
-	r.jobsOpened = r.reg.Counter("consumelocal_loadtest_ingest_jobs_opened_total",
-		"Ingest jobs opened by producers.")
-	r.jobsFinished = r.reg.Counter("consumelocal_loadtest_ingest_jobs_finished_total",
-		"Ingest jobs sealed by producers.")
-	r.tracesSubmitted = r.reg.Counter("consumelocal_loadtest_trace_jobs_submitted_total",
-		"Spooled trace jobs submitted.")
-	r.snapshotLines = r.reg.Counter("consumelocal_loadtest_snapshot_lines_total",
-		"NDJSON snapshot lines received by followers.")
-	r.followStreams = r.reg.Counter("consumelocal_loadtest_follow_streams_total",
-		"Snapshot follow streams opened.")
-	r.quota429 = r.reg.Counter("consumelocal_loadtest_backpressure_429_total",
-		"Submissions refused by the daemon quota (backpressure stalls).")
-	r.conflict409 = r.reg.Counter("consumelocal_loadtest_conflict_409_total",
-		"Batch pushes rejected for watermark ordering (racing the wall clock).")
-	r.err4xx = r.reg.Counter("consumelocal_loadtest_http_4xx_total",
-		"Unexpected 4xx responses (excluding counted 429/409).")
-	r.err5xx = r.reg.Counter("consumelocal_loadtest_http_5xx_total",
-		"5xx responses — the run's failure headline.")
-	r.errNet = r.reg.Counter("consumelocal_loadtest_network_errors_total",
-		"Transport-level request failures (excluding run-shutdown cancellations).")
-	r.restartErrs = r.reg.Counter("consumelocal_loadtest_restart_window_errors_total",
-		"Transport failures inside the chaos restart window — the injected fault, kept out of the network-error ledger.")
-	r.reattached = r.reg.Counter("consumelocal_loadtest_producers_reattached_total",
-		"Producer reattachments to crash-surviving ingest jobs: journalled-but-unacknowledged rows credited and skipped, the stream continued.")
 }
 
 func (r *run) logf(format string, args ...any) {

@@ -9,6 +9,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -16,47 +17,29 @@ import (
 
 	"consumelocal"
 	"consumelocal/internal/obs"
+	"consumelocal/internal/trace"
 )
-
-func TestParseMix(t *testing.T) {
-	m, err := parseMix("4:3:1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m != (mix{producers: 4, followers: 3, trace: 1}) {
-		t.Fatalf("parseMix(4:3:1) = %+v", m)
-	}
-	for _, bad := range []string{"", "4:3", "4:3:1:2", "a:3:1", "-1:3:1", "0:0:0", "4::1"} {
-		if _, err := parseMix(bad); err == nil {
-			t.Errorf("parseMix(%q) accepted", bad)
-		}
-	}
-}
 
 func TestApportion(t *testing.T) {
 	cases := []struct {
-		mix     string
+		mix     mix
 		clients int
 		want    mix
 	}{
-		{"4:3:1", 256, mix{producers: 128, followers: 96, trace: 32}},
-		{"4:3:1", 8, mix{producers: 4, followers: 3, trace: 1}},
+		{mix{producers: 4, followers: 3, trace: 1}, 256, mix{producers: 128, followers: 96, trace: 32}},
+		{mix{producers: 4, followers: 3, trace: 1}, 8, mix{producers: 4, followers: 3, trace: 1}},
 		// Every positive weight fields at least one client.
-		{"100:1:1", 6, mix{producers: 4, followers: 1, trace: 1}},
-		{"1:0:0", 5, mix{producers: 5}},
-		{"4:3:1", 1, mix{producers: 1}},
+		{mix{producers: 100, followers: 1, trace: 1}, 6, mix{producers: 4, followers: 1, trace: 1}},
+		{mix{producers: 1}, 5, mix{producers: 5}},
+		{mix{producers: 4, followers: 3, trace: 1}, 1, mix{producers: 1}},
 	}
 	for _, tc := range cases {
-		m, err := parseMix(tc.mix)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got := m.apportion(tc.clients)
+		got := tc.mix.apportion(tc.clients)
 		if got != tc.want {
-			t.Errorf("apportion(%q, %d) = %+v, want %+v", tc.mix, tc.clients, got, tc.want)
+			t.Errorf("apportion(%+v, %d) = %+v, want %+v", tc.mix, tc.clients, got, tc.want)
 		}
 		if got.producers+got.followers+got.trace != tc.clients {
-			t.Errorf("apportion(%q, %d) lost clients: %+v", tc.mix, tc.clients, got)
+			t.Errorf("apportion(%+v, %d) lost clients: %+v", tc.mix, tc.clients, got)
 		}
 	}
 }
@@ -73,11 +56,7 @@ func TestConfigValidate(t *testing.T) {
 		"clients":   func(c *Config) { c.Clients = 0 },
 		"duration":  func(c *Config) { c.Duration = 0 },
 		"burst":     func(c *Config) { c.Burst = 0 },
-		"mix":       func(c *Config) { c.Mix = "1:2" },
-		"wall":      func(c *Config) { c.WallFraction = 1.5 },
 		"scale":     func(c *Config) { c.Scale = 0 },
-		"window":    func(c *Config) { c.Window = 30 },
-		"max jobs":  func(c *Config) { c.MaxJobs = -1 },
 	}
 	for name, f := range mutate {
 		c := good
@@ -139,9 +118,7 @@ func TestPacerBehindSchedule(t *testing.T) {
 }
 
 func TestSummariseEmptyMarshals(t *testing.T) {
-	reg := obs.NewRegistry()
-	h := reg.Histogram("test_seconds", "t", obs.LatencyBuckets)
-	s := summarise(h)
+	s := summarise(obs.NewHistogram(obs.LatencyBuckets))
 	if s.Count != 0 || s.P99Ms != 0 {
 		t.Fatalf("empty summary = %+v", s)
 	}
@@ -308,9 +285,6 @@ func TestRunAgainstStubDaemon(t *testing.T) {
 		t.Fatalf("session ledgers disagree: client %d, server %d",
 			rep.Skew.ClientSessions, rep.Skew.ServerSessions)
 	}
-	if rep.Fleet.Producers+rep.Fleet.Followers+rep.Fleet.TraceClients != cfg.Clients {
-		t.Fatalf("fleet does not add up: %+v", rep.Fleet)
-	}
 
 	data, err := os.ReadFile(out)
 	if err != nil {
@@ -343,11 +317,23 @@ func TestRenderBatchesCoversHorizon(t *testing.T) {
 		t.Fatal("no batches")
 	}
 	total := 0
-	for _, b := range batches {
+	var parsed []trace.Session
+	for i, b := range batches {
 		total += b.sessions
+		rows, err := trace.ReadSessionsCSV(strings.NewReader(b.csv))
+		if err != nil {
+			t.Fatalf("batch %d does not parse: %v", i, err)
+		}
+		if len(rows) != b.sessions {
+			t.Fatalf("batch %d parses to %d sessions, claims %d", i, len(rows), b.sessions)
+		}
+		parsed = append(parsed, rows...)
 	}
 	if total != len(tr.Sessions) {
 		t.Fatalf("batches carry %d sessions, trace has %d", total, len(tr.Sessions))
+	}
+	if !slices.Equal(parsed, tr.Sessions) {
+		t.Fatal("batch bodies do not parse back to the trace's sessions")
 	}
 	if last := batches[len(batches)-1].boundary; last != tr.HorizonSec {
 		t.Fatalf("last boundary %d, want horizon %d", last, tr.HorizonSec)

@@ -18,30 +18,8 @@ import (
 // server-side numbers come from /metrics scrapes bracketing the run,
 // so the two views can be cross-checked (Skew).
 type Report struct {
-	GeneratedAt string `json:"generated_at"`
-	GoVersion   string `json:"go_version"`
-	GOMAXPROCS  int    `json:"gomaxprocs"`
-	Target      string `json:"target"`
-	Spawned     bool   `json:"spawned"`
-
-	Config struct {
-		Clients      int     `json:"clients"`
-		DurationSec  float64 `json:"duration_sec"`
-		Rate         float64 `json:"rate_ops_per_sec"`
-		Burst        int     `json:"burst"`
-		Mix          string  `json:"mix"`
-		WallFraction float64 `json:"wall_fraction"`
-		Scale        float64 `json:"scale"`
-		Window       int64   `json:"window_sec"`
-		Seed         int64   `json:"seed"`
-	} `json:"config"`
-
-	Fleet struct {
-		Producers     int `json:"producers"`
-		WallProducers int `json:"wall_producers"`
-		Followers     int `json:"followers"`
-		TraceClients  int `json:"trace_clients"`
-	} `json:"fleet"`
+	GoVersion  string `json:"go_version"`
+	GOMAXPROCS int    `json:"gomaxprocs"`
 
 	ElapsedSec float64 `json:"elapsed_sec"`
 
@@ -63,11 +41,6 @@ type Report struct {
 		Snapshot LatencySummary `json:"snapshot"`
 	} `json:"latency"`
 
-	Follow struct {
-		Streams int64 `json:"streams"`
-		Lines   int64 `json:"lines"`
-	} `json:"follow"`
-
 	Errors struct {
 		HTTP5xx     int64 `json:"http_5xx"`
 		HTTP4xx     int64 `json:"http_4xx_unexpected"`
@@ -84,7 +57,10 @@ type Report struct {
 		RestartWindow int64 `json:"restart_window_errors"`
 	} `json:"errors"`
 
-	Server *ServerSection `json:"server,omitempty"`
+	// Server holds the start-to-end deltas of the daemon counters the
+	// report tracks (trackedCounters, plus label-summed request, 5xx,
+	// submission and finish totals).
+	Server map[string]float64 `json:"server"`
 
 	Skew struct {
 		// ClientSessions is what the fleet believes the daemon
@@ -137,19 +113,10 @@ type ChaosSection struct {
 // milliseconds, interpolated from the harness's fixed-bucket
 // histograms via obs.Histogram.Quantile.
 type LatencySummary struct {
-	Count  uint64  `json:"count"`
-	MeanMs float64 `json:"mean_ms"`
-	P50Ms  float64 `json:"p50_ms"`
-	P95Ms  float64 `json:"p95_ms"`
-	P99Ms  float64 `json:"p99_ms"`
-}
-
-// ServerSection brackets the run with /metrics-derived aggregates.
-type ServerSection struct {
-	Initial map[string]float64 `json:"initial"`
-	Mid     map[string]float64 `json:"mid,omitempty"`
-	Final   map[string]float64 `json:"final"`
-	Delta   map[string]float64 `json:"delta"`
+	Count uint64  `json:"count"`
+	P50Ms float64 `json:"p50_ms"`
+	P95Ms float64 `json:"p95_ms"`
+	P99Ms float64 `json:"p99_ms"`
 }
 
 // DaemonSection describes a spawned daemon's footprint.
@@ -159,26 +126,18 @@ type DaemonSection struct {
 	RSSPeakBytes int64  `json:"rss_peak_bytes"`
 }
 
-// serverSample is one parsed /metrics scrape reduced to the aggregates
-// the report tracks.
-type serverSample struct {
-	values map[string]float64
-}
-
-// trackedSeries are the exact daemon series the report follows 1:1.
-var trackedSeries = []string{
+// trackedCounters are the daemon counters the report follows 1:1.
+var trackedCounters = []string{
 	"consumelocald_ingest_sessions_pushed_total",
 	"consumelocald_jobs_rejected_total",
-	"consumelocald_jobs_running",
 	"consumelocald_ingest_blocked_seconds_total",
-	"consumelocald_ingest_queue_depth",
 	"consumelocal_replay_windows_settled_total",
 }
 
-// scrape pulls and lints /metrics, reducing it to the tracked series
-// plus label-summed aggregates for the vec families (requests by
-// family and by 5xx, submissions and finishes across kinds).
-func (r *run) scrape(ctx context.Context) (*serverSample, error) {
+// scrape pulls and lints /metrics, reducing it to the tracked counters
+// plus label-summed totals for the vec families (requests by family and
+// by 5xx, submissions and finishes across kinds).
+func (r *run) scrape(ctx context.Context) (map[string]float64, error) {
 	opCtx, cancel := context.WithTimeout(context.WithoutCancel(ctx), opGrace)
 	defer cancel()
 	req, err := http.NewRequestWithContext(opCtx, http.MethodGet, r.base+"/metrics", nil)
@@ -197,26 +156,26 @@ func (r *run) scrape(ctx context.Context) (*serverSample, error) {
 	if err != nil {
 		return nil, fmt.Errorf("exposition does not lint: %w", err)
 	}
-	s := &serverSample{values: make(map[string]float64)}
-	for _, name := range trackedSeries {
+	values := make(map[string]float64)
+	for _, name := range trackedCounters {
 		if v, ok := exp.Value(name); ok {
-			s.values[name] = v
+			values[name] = v
 		}
 	}
 	for series, v := range exp.Samples {
 		switch {
 		case strings.HasPrefix(series, "consumelocald_http_requests_total{"):
-			s.values["consumelocald_http_requests_total"] += v
+			values["consumelocald_http_requests_total"] += v
 			if strings.Contains(series, `code="5`) {
-				s.values["consumelocald_http_responses_5xx_total"] += v
+				values["consumelocald_http_responses_5xx_total"] += v
 			}
 		case strings.HasPrefix(series, "consumelocald_jobs_submitted_total{"):
-			s.values["consumelocald_jobs_submitted_total"] += v
+			values["consumelocald_jobs_submitted_total"] += v
 		case strings.HasPrefix(series, "consumelocald_jobs_finished_total{"):
-			s.values["consumelocald_jobs_finished_total"] += v
+			values["consumelocald_jobs_finished_total"] += v
 		}
 	}
-	return s, nil
+	return values, nil
 }
 
 // summarise digests one histogram; an empty histogram reports zeros
@@ -226,82 +185,49 @@ func summarise(h *obs.Histogram) LatencySummary {
 	if s.Count == 0 {
 		return s
 	}
-	s.MeanMs = h.Sum() / float64(s.Count) * 1e3
 	s.P50Ms = h.Quantile(0.50) * 1e3
 	s.P95Ms = h.Quantile(0.95) * 1e3
 	s.P99Ms = h.Quantile(0.99) * 1e3
 	return s
 }
 
-// buildReport assembles the run's report from the client-side registry
+// buildReport assembles the run's report from the client-side tallies
 // and the bracketing scrapes.
-func (r *run) buildReport(elapsed time.Duration, initial, mid, final *serverSample, chaos *chaosOutcome) *Report {
+func (r *run) buildReport(elapsed time.Duration, initial, final map[string]float64, chaos *chaosOutcome) *Report {
 	rep := &Report{
-		GeneratedAt: time.Now().UTC().Format(time.RFC3339),
-		GoVersion:   runtime.Version(),
-		GOMAXPROCS:  runtime.GOMAXPROCS(0),
-		Target:      r.base,
-		Spawned:     r.curDaemon() != nil,
+		GoVersion:  runtime.Version(),
+		GOMAXPROCS: runtime.GOMAXPROCS(0),
+		ElapsedSec: elapsed.Seconds(),
 	}
-	rep.Config.Clients = r.cfg.Clients
-	rep.Config.DurationSec = r.cfg.Duration.Seconds()
-	rep.Config.Rate = r.cfg.Rate
-	rep.Config.Burst = r.cfg.Burst
-	rep.Config.Mix = r.cfg.Mix
-	rep.Config.WallFraction = r.cfg.WallFraction
-	rep.Config.Scale = r.cfg.Scale
-	rep.Config.Window = r.cfg.Window
-	rep.Config.Seed = r.cfg.Seed
 
-	rep.Fleet.Producers = r.counts.producers
-	rep.Fleet.WallProducers = r.wall
-	rep.Fleet.Followers = r.counts.followers
-	rep.Fleet.TraceClients = r.counts.trace
-
-	rep.ElapsedSec = elapsed.Seconds()
-
-	rep.Ingest.JobsOpened = int64(r.jobsOpened.Value())
-	rep.Ingest.JobsFinished = int64(r.jobsFinished.Value())
-	rep.Ingest.TraceJobs = int64(r.tracesSubmitted.Value())
-	rep.Ingest.SessionsAccepted = int64(r.sessionsAccepted.Value())
-	rep.Ingest.ProducersReattached = int64(r.reattached.Value())
+	rep.Ingest.JobsOpened = r.jobsOpened.Load()
+	rep.Ingest.JobsFinished = r.jobsFinished.Load()
+	rep.Ingest.TraceJobs = r.tracesSubmitted.Load()
+	rep.Ingest.SessionsAccepted = r.sessionsAccepted.Load()
+	rep.Ingest.ProducersReattached = r.reattached.Load()
 	if elapsed > 0 {
-		rep.Ingest.SessionsPerSec = r.sessionsAccepted.Value() / elapsed.Seconds()
+		rep.Ingest.SessionsPerSec = float64(rep.Ingest.SessionsAccepted) / elapsed.Seconds()
 	}
 
 	rep.Latency.Create = summarise(r.createLat)
 	rep.Latency.Batch = summarise(r.batchLat)
 	rep.Latency.Snapshot = summarise(r.snapLat)
 
-	rep.Follow.Streams = int64(r.followStreams.Value())
-	rep.Follow.Lines = int64(r.snapshotLines.Value())
-
-	rep.Errors.HTTP5xx = int64(r.err5xx.Value())
-	rep.Errors.HTTP4xx = int64(r.err4xx.Value())
-	rep.Errors.Network = int64(r.errNet.Value())
-	rep.Errors.Quota429 = int64(r.quota429.Value())
-	rep.Errors.Conflict409 = int64(r.conflict409.Value())
+	rep.Errors.HTTP5xx = r.err5xx.Load()
+	rep.Errors.HTTP4xx = r.err4xx.Load()
+	rep.Errors.Network = r.errNet.Load()
+	rep.Errors.Quota429 = r.quota429.Load()
+	rep.Errors.Conflict409 = r.conflict409.Load()
 	rep.Errors.BehindScheduleOps = r.pace.behindSchedule()
-	rep.Errors.RestartWindow = int64(r.restartErrs.Value())
+	rep.Errors.RestartWindow = r.restartErrs.Load()
 
-	if initial != nil && final != nil {
-		sec := &ServerSection{
-			Initial: initial.values,
-			Final:   final.values,
-			Delta:   make(map[string]float64, len(final.values)),
-		}
-		if mid != nil {
-			sec.Mid = mid.values
-		}
-		for k, v := range final.values {
-			sec.Delta[k] = v - initial.values[k]
-		}
-		rep.Server = sec
-
-		rep.Skew.ClientSessions = rep.Ingest.SessionsAccepted
-		rep.Skew.ServerSessions = int64(sec.Delta["consumelocald_ingest_sessions_pushed_total"])
-		rep.Skew.Diff = rep.Skew.ServerSessions - rep.Skew.ClientSessions
+	rep.Server = make(map[string]float64, len(final))
+	for k, v := range final {
+		rep.Server[k] = v - initial[k]
 	}
+	rep.Skew.ClientSessions = rep.Ingest.SessionsAccepted
+	rep.Skew.ServerSessions = int64(rep.Server["consumelocald_ingest_sessions_pushed_total"])
+	rep.Skew.Diff = rep.Skew.ServerSessions - rep.Skew.ClientSessions
 
 	if d := r.curDaemon(); d != nil {
 		d.sampleRSS()
@@ -343,8 +269,7 @@ func (r *run) buildReport(elapsed time.Duration, initial, mid, final *serverSamp
 		}
 		c.LedgerBound = int64(kills) * int64(r.counts.producers) * int64(maxBatch)
 		c.LedgerDiff = rep.Skew.Diff
-		c.LedgerOK = c.RestartError == "" && rep.Server != nil &&
-			c.LedgerDiff >= 0 && c.LedgerDiff <= c.LedgerBound
+		c.LedgerOK = c.RestartError == "" && c.LedgerDiff >= 0 && c.LedgerDiff <= c.LedgerBound
 		rep.Chaos = c
 	}
 	return rep

@@ -129,20 +129,28 @@ func (r *Registry) Info(name, help string, labels ...[2]string) {
 // bounds (ascending, +Inf implicit). Latency histograms should use
 // LatencyBuckets unless the workload says otherwise.
 func (r *Registry) Histogram(name, help string, buckets []float64) *Histogram {
+	h := NewHistogram(buckets)
+	r.register(name, help, TypeHistogram, h.collect(name))
+	return h
+}
+
+// NewHistogram returns an unregistered fixed-bucket histogram of the
+// given upper bounds (ascending, +Inf implicit), for a tally read in
+// process (Count, Sum, Quantile) rather than scraped. It panics on an
+// empty or non-ascending bucket list, a programmer error.
+func NewHistogram(buckets []float64) *Histogram {
 	if len(buckets) == 0 {
-		panic("obs: histogram " + name + " needs at least one bucket")
+		panic("obs: histogram needs at least one bucket")
 	}
 	for i := 1; i < len(buckets); i++ {
 		if buckets[i] <= buckets[i-1] {
-			panic("obs: histogram " + name + " buckets not strictly ascending")
+			panic("obs: histogram buckets not strictly ascending")
 		}
 	}
-	h := &Histogram{
+	return &Histogram{
 		upper:  append([]float64(nil), buckets...),
 		counts: make([]atomic.Uint64, len(buckets)+1),
 	}
-	r.register(name, help, TypeHistogram, h.collect(name))
-	return h
 }
 
 // CounterVec registers a counter family with one or two fixed label

@@ -1,7 +1,7 @@
 package trace
 
 import (
-	"encoding/csv"
+	"bufio"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -20,32 +20,21 @@ var csvHeader = []string{
 // metadata (horizon, population sizes) is carried in a leading comment
 // line so that ReadCSV can reconstruct the full Trace.
 func (t *Trace) WriteCSV(w io.Writer) error {
-	meta := fmt.Sprintf("#meta name=%s epoch=%s horizon=%d users=%d content=%d isps=%d\n",
+	// bufio.Writer errors are sticky: a failed write of the meta or
+	// header line surfaces at the next Write or at Flush.
+	bw := bufio.NewWriter(w)
+	fmt.Fprintf(bw, "#meta name=%s epoch=%s horizon=%d users=%d content=%d isps=%d\n",
 		t.Name, t.Epoch.Format(time.RFC3339), t.HorizonSec, t.NumUsers, t.NumContent, t.NumISPs)
-	if _, err := io.WriteString(w, meta); err != nil {
-		return fmt.Errorf("trace: write meta: %w", err)
-	}
-
-	cw := csv.NewWriter(w)
-	if err := cw.Write(csvHeader); err != nil {
-		return fmt.Errorf("trace: write header: %w", err)
-	}
-	record := make([]string, len(csvHeader))
+	bw.WriteString(strings.Join(csvHeader, ",") + "\n")
+	var row []byte
 	for _, s := range t.Sessions {
-		record[0] = strconv.FormatUint(uint64(s.UserID), 10)
-		record[1] = strconv.FormatUint(uint64(s.ContentID), 10)
-		record[2] = strconv.Itoa(int(s.ISP))
-		record[3] = strconv.Itoa(int(s.Exchange))
-		record[4] = strconv.FormatInt(s.StartSec, 10)
-		record[5] = strconv.Itoa(int(s.DurationSec))
-		record[6] = strconv.Itoa(int(s.Bitrate))
-		if err := cw.Write(record); err != nil {
-			return fmt.Errorf("trace: write session: %w", err)
+		row = AppendSessionCSV(row[:0], s)
+		if _, err := bw.Write(row); err != nil {
+			return fmt.Errorf("trace: write csv: %w", err)
 		}
 	}
-	cw.Flush()
-	if err := cw.Error(); err != nil {
-		return fmt.Errorf("trace: flush: %w", err)
+	if err := bw.Flush(); err != nil {
+		return fmt.Errorf("trace: write csv: %w", err)
 	}
 	return nil
 }

@@ -3,8 +3,10 @@
 # daemon. Builds consumelocald, lets `consumelocal loadtest` spawn it
 # and drive a small fleet (~64 clients for a few seconds), then asserts
 # the report is well-formed: sessions actually flowed, latency
-# histograms filled, the /metrics cross-check ran, and — the headline
-# CI gate — zero 5xx responses. Run via `make loadtest-smoke`.
+# histograms filled, the /metrics cross-check ran and reconciles (the
+# daemon counted exactly the sessions the fleet saw acknowledged), and
+# — the headline CI gate — zero 5xx responses. Run via
+# `make loadtest-smoke`.
 set -eu
 
 workdir="$(mktemp -d)"
@@ -33,6 +35,13 @@ grep -q '"sessions_accepted": [1-9]' "$report" || {
     cat "$report" >&2
     exit 1
 }
+# Spawn mode: nothing but the fleet talks to the daemon, so the skew
+# section's client and server session ledgers must agree exactly.
+grep -Eq '"diff": 0,?$' "$report" || {
+    echo "loadtest-smoke: client and server session ledgers disagree (skew.diff)" >&2
+    cat "$report" >&2
+    exit 1
+}
 grep -q '"jobs_opened": [1-9]' "$report"
 grep -q '"sessions_per_sec": [1-9]' "$report"
 grep -q '"p95_ms"' "$report"
@@ -40,4 +49,4 @@ grep -q '"server": {' "$report"
 grep -q '"rss_peak_bytes": [1-9]' "$report"
 
 sps="$(sed -n 's/.*"sessions_per_sec": \([0-9.]*\).*/\1/p' "$report" | head -n 1)"
-echo "loadtest-smoke OK: $sps sessions/s, zero 5xx"
+echo "loadtest-smoke OK: $sps sessions/s, zero 5xx, session ledger diff 0"
