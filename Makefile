@@ -65,10 +65,11 @@ chaos-smoke:
 	./chaos-smoke.sh
 
 ## microbench: the hot-path micro-benchmarks (tracker settlement, batch
-## sweeper, matching and booking on the gated workloads' interval
-## shapes, CSV fast lane, shard batch feed) at full bench time
+## sweeper, matching — sorting and pre-ordered — and booking on the
+## gated workloads' interval shapes, CSV fast lane, shard batch feed,
+## a live evening through the engine) at full bench time
 microbench:
-	$(GO) test -run '^$$' -bench 'BenchmarkTrackerAdvance|BenchmarkSweeper|BenchmarkScannerScan|BenchmarkShardBatchFeed|BenchmarkMatchInto|BenchmarkBookInterval' \
+	$(GO) test -run '^$$' -bench 'BenchmarkTrackerAdvance|BenchmarkSweeper|BenchmarkScannerScan|BenchmarkShardBatchFeed|BenchmarkStreamLiveEvening|BenchmarkMatchInto|BenchmarkBookInterval' \
 		./internal/swarm/ ./internal/trace/ ./internal/engine/ ./internal/matching/ ./internal/sim/
 
 ## figures-diff: build cmd/consumelocal at REF (default HEAD) and from

@@ -395,6 +395,11 @@ func TestCreateJobRejectsBadInput(t *testing.T) {
 		"/v1/jobs?source=generator&days=0",
 		"/v1/jobs?source=generator&days=400",
 		"/v1/jobs?window=30",
+		// Non-finite rates parse as floats; the replay must refuse them
+		// rather than report 0% offload.
+		"/v1/jobs?source=generator&scale=0.001&days=1&ratio=NaN",
+		"/v1/jobs?source=generator&scale=0.001&days=1&ratio=Inf",
+		"/v1/jobs?source=generator&scale=0.001&days=1&participation=NaN",
 	} {
 		resp, err := http.Post(ts.URL+url, "text/csv", nil)
 		if err != nil {

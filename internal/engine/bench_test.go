@@ -57,3 +57,24 @@ func BenchmarkShardBatchFeed(b *testing.B) {
 	}
 	b.ReportMetric(float64(len(tr.Sessions)), "sessions/op")
 }
+
+// BenchmarkStreamLiveEvening replays a scale-0.002 live evening through
+// Stream with 300 s windows: the settle path of the follow workload,
+// where each interval matches about 100 peers, in process.
+func BenchmarkStreamLiveEvening(b *testing.B) {
+	tr := eveningTrace(b)
+	cfg := DefaultConfig(1.0)
+	cfg.WindowSec = eveningWindow
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		run, err := Stream(context.Background(), TraceSource(tr), cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := run.Result(); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(tr.Sessions)), "ns/session")
+}

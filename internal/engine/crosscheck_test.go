@@ -26,6 +26,31 @@ func testTrace(t testing.TB) *trace.Trace {
 	return tr
 }
 
+// eveningWindow is the reporting window of the live-evening workload.
+const eveningWindow = 300
+
+// eveningTrace generates a scale-0.002 live evening (about 3.1k
+// sessions, swarms of about 100 peers) with its horizon cut to the
+// broadcast span, as the benchmark's follow workload builds it: the
+// schedule starts one window before the first broadcast and ends with
+// the last.
+func eveningTrace(t testing.TB) *trace.Trace {
+	t.Helper()
+	cfg := trace.DefaultLiveConfig(0.002)
+	shift := cfg.Events[0].StartSec - eveningWindow
+	end := int64(0)
+	for i := range cfg.Events {
+		cfg.Events[i].StartSec -= shift
+		end = max(end, cfg.Events[i].StartSec+int64(cfg.Events[i].DurationSec))
+	}
+	cfg.HorizonSec = (end + eveningWindow - 1) / eveningWindow * eveningWindow
+	tr, err := trace.GenerateLive(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tr
+}
+
 // crosscheckConfigs enumerates the simulation configurations the
 // streamed replay must reproduce exactly.
 func crosscheckConfigs() map[string]sim.Config {
@@ -188,6 +213,37 @@ func TestStreamMatchesBatch(t *testing.T) {
 				t.Fatal(err)
 			}
 			assertResultsMatch(t, got, want, 1e-12)
+		})
+	}
+}
+
+// TestStreamMatchesBatchLiveEvening holds the engine to sim.Run on
+// live-evening swarms, where intervals have about 100 peers rather than
+// the catch-up trace's 3: bit for bit per swarm under the configurations
+// that change who is matched or where (seeding appendices pending among
+// the active members, quantized boundaries, ISP-offset PoPs, a coarse
+// tree, the Random policy), with one worker and with four.
+func TestStreamMatchesBatchLiveEvening(t *testing.T) {
+	tr := eveningTrace(t)
+	configs := crosscheckConfigs()
+	for _, name := range []string{"default", "seeding", "quantized", "city-wide", "topology", "random"} {
+		simCfg := configs[name]
+		t.Run(name, func(t *testing.T) {
+			want, err := sim.Run(tr, simCfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, workers := range []int{1, 4} {
+				run, err := Stream(context.Background(), TraceSource(tr), Config{Sim: simCfg, WindowSec: eveningWindow, Workers: workers})
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, err := run.Result()
+				if err != nil {
+					t.Fatal(err)
+				}
+				assertResultsMatch(t, got, want, 1e-12)
+			}
 		})
 	}
 }

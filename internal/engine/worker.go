@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"consumelocal/internal/matching"
@@ -45,6 +46,11 @@ type swarmState struct {
 	// schedule order, not by index value.
 	members []member
 	free    []int32
+	// byExchange holds the live member slots, active or scheduled, in
+	// (exchange, schedule order) when the worker keeps orders: the order
+	// matching's first pass groups peers in, kept across intervals
+	// instead of sorted at each.
+	byExchange []int32
 	// activePos is the state's index in the worker's non-idle list, or
 	// -1 while the swarm is idle (no active members, no pending events).
 	activePos int
@@ -60,6 +66,10 @@ func (st *swarmState) Emit(iv swarm.Interval) { st.w.settle(st, iv) }
 
 // Closed releases a settled member's slot (swarm.Sink).
 func (st *swarmState) Closed(index int) {
+	if st.w.keepsOrder {
+		i := slices.Index(st.byExchange, int32(index))
+		st.byExchange = append(st.byExchange[:i], st.byExchange[i+1:]...)
+	}
 	st.free = append(st.free, int32(index))
 	st.w.active--
 }
@@ -75,6 +85,33 @@ func (st *swarmState) alloc(m member) int {
 	}
 	st.members = append(st.members, m)
 	return len(st.members) - 1
+}
+
+// schedule adds a member to the tracker over its session and, when the
+// worker keeps orders, to byExchange. It is the latest member in
+// schedule order, so it goes after every member of its exchange: at the
+// first position whose exchange is above its own.
+func (st *swarmState) schedule(idx int) {
+	m := &st.members[idx]
+	st.tracker.Schedule(m.s.StartSec, m.s.EndSec(), idx)
+	st.w.active++
+	if !st.w.keepsOrder {
+		return
+	}
+	o := st.byExchange
+	lo, hi := 0, len(o)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if st.members[o[mid]].peer.Exchange <= m.peer.Exchange {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	o = append(o, 0)
+	copy(o[lo+1:], o[lo:])
+	o[lo] = int32(idx)
+	st.byExchange = o
 }
 
 // worker owns one shard of the swarm key space. It processes its input
@@ -96,6 +133,10 @@ type worker struct {
 	booker sim.Booker
 	active int
 	err    error
+	// keepsOrder is set when the policy is LocalityFirst itself: swarms
+	// then keep byExchange and settle matches through MatchIntoOrdered.
+	// Any other policy, a wrapped LocalityFirst included, gets MatchInto.
+	keepsOrder bool
 	// stats, when non-nil, receives settle time: the Advance each
 	// arriving session makes plus every window mark. settling holds the
 	// session-path share until the next mark publishes it, so the shared
@@ -108,6 +149,8 @@ type worker struct {
 	demands  []float64
 	caps     []float64
 	accounts []sim.Account
+	order    []int32 // the interval's slots in (exchange, slot) order
+	slotOf   []int32 // per member slot: its slot in the interval, if active
 	// alloc is the worker-owned matching result, recycled through
 	// Policy.MatchInto each interval.
 	alloc matching.Allocation
@@ -122,6 +165,7 @@ func newWorker(id int, cfg Config, meta trace.Meta) *worker {
 		booker:  sim.Booker{Days: make([][]sim.Tally, meta.Days())},
 		stats:   cfg.Stats,
 	}
+	_, w.keepsOrder = cfg.Sim.Policy.(matching.LocalityFirst)
 	for d := range w.booker.Days {
 		w.booker.Days[d] = make([]sim.Tally, meta.NumISPs)
 	}
@@ -188,9 +232,7 @@ func (w *worker) session(it *item) {
 		demandBps: s.Bitrate.BitsPerSecond(),
 		ledger:    w.booker.Ledger(s.UserID),
 	}
-	idx := st.alloc(m)
-	st.tracker.Schedule(s.StartSec, s.EndSec(), idx)
-	w.active++
+	st.schedule(st.alloc(m))
 	st.sessions++
 	st.durSum += float64(it.origDur)
 
@@ -206,9 +248,7 @@ func (w *worker) session(it *item) {
 		if retention > 0 {
 			seeder.s.DurationSec = int32(retention)
 			seeder.demandBps = 0
-			sidx := st.alloc(seeder)
-			st.tracker.Schedule(seeder.s.StartSec, seeder.s.EndSec(), sidx)
-			w.active++
+			st.schedule(st.alloc(seeder))
 		}
 	}
 }
@@ -267,7 +307,15 @@ func (w *worker) settle(st *swarmState, iv swarm.Interval) {
 	}
 	budget := w.cfg.PeerBudget(sumCaps, n)
 
-	if err := w.cfg.Policy.MatchInto(&w.alloc, w.peers[:n], w.demands[:n], w.caps[:n], budget); err != nil {
+	var err error
+	// Matching returns before grouping below two peers or at a zero
+	// budget, so those calls need no order.
+	if w.keepsOrder && n >= 2 && budget != 0 {
+		err = matching.LocalityFirst{}.MatchIntoOrdered(&w.alloc, w.peers, w.activeOrder(st, iv.Active), w.demands, w.caps, budget)
+	} else {
+		err = w.cfg.Policy.MatchInto(&w.alloc, w.peers, w.demands, w.caps, budget)
+	}
+	if err != nil {
 		//consumelocal:ignore hotalloc cold error exit: formatting happens once, on the failure that aborts the run
 		w.err = fmt.Errorf("engine: match swarm %+v interval [%d,%d): %w", st.key, iv.From, iv.To, err)
 		return
@@ -276,6 +324,31 @@ func (w *worker) settle(st *swarmState, iv swarm.Interval) {
 	ivTally := w.booker.BookInterval(iv, &w.alloc, w.demands, w.accounts)
 	st.tally.Add(ivTally)
 	w.delta.Add(ivTally)
+}
+
+// activeOrder returns the interval's slots in (exchange, slot) order:
+// the swarm's kept order restricted to the members active in the
+// interval. active lists them in schedule order, so slot order within an
+// exchange is schedule order. slotOf needs no reset between intervals:
+// an entry is current only if active points back at the member.
+//
+//consumelocal:hotpath
+//consumelocal:borrowed active
+func (w *worker) activeOrder(st *swarmState, active []int) []int32 {
+	if len(w.slotOf) < len(st.members) {
+		w.slotOf = make([]int32, len(st.members), 2*len(st.members))
+	}
+	for slot, idx := range active {
+		w.slotOf[idx] = int32(slot)
+	}
+	k := 0
+	for _, idx := range st.byExchange {
+		if s := w.slotOf[idx]; int(s) < len(active) && active[s] == int(idx) {
+			w.order[k] = s
+			k++
+		}
+	}
+	return w.order[:k]
 }
 
 // report packages the worker's shard outcome, with per-swarm statistics
@@ -307,9 +380,11 @@ func (w *worker) resize(n int) {
 		w.demands = make([]float64, n, c)
 		w.caps = make([]float64, n, c)
 		w.accounts = make([]sim.Account, n, c)
+		w.order = make([]int32, n, c)
 	}
 	w.peers = w.peers[:n]
 	w.demands = w.demands[:n]
 	w.caps = w.caps[:n]
 	w.accounts = w.accounts[:n]
+	w.order = w.order[:n]
 }

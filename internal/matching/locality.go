@@ -1,6 +1,7 @@
 package matching
 
 import (
+	"errors"
 	"slices"
 	"sync"
 
@@ -102,11 +103,13 @@ func sortPairs(pairs []groupPair, keys *[]uint64) {
 // its temporaries are pooled rather than reallocated per interval.
 type lfScratch struct {
 	residD, residC []float64
-	pairs          []groupPair
-	keys           []uint64 // packed sort keys (sortPairs)
-	popRank        []int32  // per peer: its PoP's run number in pass 2
-	popNext        []int32  // per PoP run: next free slot in pass 3
-	starts         []int32  // subgroup boundaries of the current cross pass
+	pairs          []groupPair // passes 1 and 3
+	byPoP          []groupPair // pass 2
+	keys           []uint64    // packed sort keys (sortPairs)
+	popCount       []int32     // per PoP id: its run's next free slot in pass 2
+	popRank        []int32     // per peer: its PoP's run number in pass 2
+	popNext        []int32     // per PoP run: next free slot in pass 3
+	starts         []int32     // subgroup boundaries of the current cross pass
 	demand         []float64
 	capacity       []float64
 	served         []float64
@@ -158,6 +161,9 @@ func (p LocalityFirst) Match(peers []Peer, demands, caps []float64, budget float
 // the paper's (L−1)·q budget is applied, trimming least-local traffic
 // first.
 //
+// MatchInto sorts the peers by (exchange, index) once; a caller that
+// keeps them in that order across calls uses MatchIntoOrdered instead.
+//
 //consumelocal:hotpath
 func (LocalityFirst) MatchInto(alloc *Allocation, peers []Peer, demands, caps []float64, budget float64) error {
 	totalDemand, err := validate(peers, demands, caps)
@@ -172,7 +178,65 @@ func (LocalityFirst) MatchInto(alloc *Allocation, peers []Peer, demands, caps []
 
 	sc := lfPool.Get().(*lfScratch)
 	defer lfPool.Put(sc)
+	pairs := grown(&sc.pairs, n)
+	for i, p := range peers {
+		pairs[i] = groupPair{k1: int64(p.Exchange), idx: int32(i)}
+	}
+	sortPairs(pairs, &sc.keys)
+	sc.match(alloc, peers, demands, caps, budget)
+	return nil
+}
 
+// errBadOrder is returned when MatchIntoOrdered's order is not the
+// peers' (exchange, index) order.
+var errBadOrder = errors.New("matching: byExchange must list every peer index once, in (exchange, index) order")
+
+// MatchIntoOrdered is MatchInto for a caller that keeps its peers'
+// grouping order: byExchange lists every peer index once, sorted by
+// (Exchange, index). It returns the allocation MatchInto returns, bit
+// for bit, without sorting. The streaming engine keeps each swarm's
+// members in this order across intervals, since consecutive intervals
+// differ by a member or two.
+//
+//consumelocal:hotpath
+func (LocalityFirst) MatchIntoOrdered(alloc *Allocation, peers []Peer, byExchange []int32, demands, caps []float64, budget float64) error {
+	totalDemand, err := validate(peers, demands, caps)
+	if err != nil {
+		return err
+	}
+	n := len(peers)
+	if len(byExchange) != n {
+		return errBadOrder
+	}
+	alloc.reset(n, totalDemand)
+	if n < 2 || budget == 0 {
+		return nil
+	}
+
+	sc := lfPool.Get().(*lfScratch)
+	defer lfPool.Put(sc)
+	pairs := grown(&sc.pairs, n)
+	for i, idx := range byExchange {
+		if uint(idx) >= uint(n) {
+			return errBadOrder
+		}
+		pairs[i] = groupPair{k1: int64(peers[idx].Exchange), idx: idx}
+		// Strictly ascending keys are distinct, so n of them in range
+		// are every index once.
+		if i > 0 && cmpGroupPair(pairs[i-1], pairs[i]) >= 0 {
+			return errBadOrder
+		}
+	}
+	sc.match(alloc, peers, demands, caps, budget)
+	return nil
+}
+
+// match runs the three passes on at least two peers, given sc.pairs
+// holding them in (exchange, index) order.
+//
+//consumelocal:hotpath
+func (sc *lfScratch) match(alloc *Allocation, peers []Peer, demands, caps []float64, budget float64) {
+	n := len(peers)
 	// Residual demand/capacity per peer, consumed pass by pass; the
 	// copies overwrite every element, so no zeroing pass is needed.
 	residD := grown(&sc.residD, n)
@@ -180,13 +244,8 @@ func (LocalityFirst) MatchInto(alloc *Allocation, peers []Peer, demands, caps []
 	copy(residD, demands)
 	copy(residC, caps)
 
-	pairs := grown(&sc.pairs, n)
-
 	// Pass 1: within exchange points.
-	for i, p := range peers {
-		pairs[i] = groupPair{k1: int64(p.Exchange), idx: int32(i)}
-	}
-	sortPairs(pairs, &sc.keys)
+	pairs := sc.pairs[:n]
 	for s := 0; s < n; {
 		e := s + 1
 		for e < n && pairs[e].k1 == pairs[s].k1 {
@@ -199,27 +258,24 @@ func (LocalityFirst) MatchInto(alloc *Allocation, peers []Peer, demands, caps []
 		s = e
 	}
 
-	// Pass 2: across exchanges within each PoP. Sorting by (PoP,
-	// exchange, index) makes PoPs runs and their exchange subgroups
-	// sub-runs of the same ordering. The runs ascend by PoP, so each
-	// peer's run number is its PoP's rank, noted for pass 3.
-	for i, p := range peers {
-		pairs[i] = groupPair{k1: int64(p.PoP), k2: int64(p.Exchange), idx: int32(i)}
-	}
-	sortPairs(pairs, &sc.keys)
+	// Pass 2: across exchanges within each PoP. In (PoP, exchange,
+	// index) order PoPs are runs and their exchange subgroups sub-runs.
+	// The runs ascend by PoP, so each peer's run number is its PoP's
+	// rank, noted for pass 3.
+	byPoP := sc.popOrder(peers, pairs)
 	popRank := grown(&sc.popRank, n)
 	popNext := sc.popNext[:0]
 	for s := 0; s < n; {
 		e := s + 1
-		for e < n && pairs[e].k1 == pairs[s].k1 {
+		for e < n && byPoP[e].k1 == byPoP[s].k1 {
 			e++
 		}
-		for _, m := range pairs[s:e] {
+		for _, m := range byPoP[s:e] {
 			popRank[m.idx] = int32(len(popNext))
 		}
 		popNext = append(popNext, int32(s))
-		flows := crossMatch(sc, pairs[s:e], residD, residC)
-		record(alloc, energy.LayerPoP, flows, pairs[s:e], residD, residC, demands, caps)
+		flows := crossMatch(sc, byPoP[s:e], residD, residC)
+		record(alloc, energy.LayerPoP, flows, byPoP[s:e], residD, residC, demands, caps)
 		s = e
 	}
 	sc.popNext = popNext
@@ -228,7 +284,7 @@ func (LocalityFirst) MatchInto(alloc *Allocation, peers []Peer, demands, caps []
 	// ascending index order. Pass 2 ranked the PoPs and counted their
 	// runs, so one counting pass over the peers in index order places
 	// each at its run's next free slot — the (PoP, index) order without a
-	// third sort.
+	// sort.
 	for i, p := range peers {
 		r := popRank[i]
 		pairs[popNext[r]] = groupPair{k1: int64(p.PoP), k2: int64(p.PoP), idx: int32(i)}
@@ -238,7 +294,46 @@ func (LocalityFirst) MatchInto(alloc *Allocation, peers []Peer, demands, caps []
 	record(alloc, energy.LayerCore, flows, pairs, residD, residC, demands, caps)
 
 	applyBudget(alloc, budget)
-	return nil
+}
+
+// popOrder returns the peers in (PoP, exchange, index) order, given
+// pairs holding them in (exchange, index) order. One stable counting
+// pass on PoP keeps the (exchange, index) order inside each PoP, so it
+// yields the permutation a sort would, also when an exchange sits under
+// two PoPs. Counting walks one entry per PoP id up to the largest, so
+// negative PoPs, and ids far above the peer count, take the sort.
+//
+//consumelocal:hotpath
+func (sc *lfScratch) popOrder(peers []Peer, pairs []groupPair) []groupPair {
+	n := len(peers)
+	out := grown(&sc.byPoP, n)
+	lo, hi := peers[0].PoP, peers[0].PoP
+	for _, p := range peers[1:] {
+		lo, hi = min(lo, p.PoP), max(hi, p.PoP)
+	}
+	if lo < 0 || hi >= 4*n+64 {
+		for i, p := range peers {
+			out[i] = groupPair{k1: int64(p.PoP), k2: int64(p.Exchange), idx: int32(i)}
+		}
+		sortPairs(out, &sc.keys)
+		return out
+	}
+	next := grown(&sc.popCount, hi+1)
+	clear(next)
+	for _, p := range peers {
+		next[p.PoP]++
+	}
+	var at int32
+	for pop, c := range next {
+		next[pop] = at
+		at += c
+	}
+	for _, m := range pairs {
+		pop := peers[m.idx].PoP
+		out[next[pop]] = groupPair{k1: int64(pop), k2: m.k1, idx: m.idx}
+		next[pop]++
+	}
+	return out
 }
 
 // matchWithin matches demand against capacity inside one group where every
@@ -305,12 +400,30 @@ func crossMatch(sc *lfScratch, members []groupPair, residDemand, residCap []floa
 	var total float64
 	const eps = 1e-9
 	for {
-		gd := argmax(demand)
-		if gd < 0 || demand[gd] <= eps {
+		// One scan finds the largest demand gd and the largest and
+		// second-largest capacities u1 and u2, each tie going to the
+		// lowest index. gu, the largest capacity outside gd, is u1 unless
+		// that is gd: while no residual is NaN, the picks of separate
+		// scans over demand and over the other groups' capacity.
+		gd, u1, u2 := 0, 0, -1
+		for g := 1; g < k; g++ {
+			if demand[g] > demand[gd] {
+				gd = g
+			}
+			if c := capacity[g]; c > capacity[u1] {
+				u1, u2 = g, u1
+			} else if u2 < 0 || c > capacity[u2] {
+				u2 = g
+			}
+		}
+		if demand[gd] <= eps {
 			break
 		}
-		gu := argmaxExcept(capacity, gd)
-		if gu < 0 || capacity[gu] <= eps {
+		gu := u1
+		if gu == gd {
+			gu = u2
+		}
+		if capacity[gu] <= eps {
 			break
 		}
 		x := demand[gd]
@@ -388,30 +501,4 @@ func record(alloc *Allocation, layer energy.Layer, flow float64, members []group
 			alloc.PeerReceivedBits[i] = downSoFar
 		}
 	}
-}
-
-// argmax returns the index of the largest entry, or -1 for empty input.
-func argmax(xs []float64) int {
-	best := -1
-	for i, x := range xs {
-		if best < 0 || x > xs[best] {
-			best = i
-		}
-	}
-	return best
-}
-
-// argmaxExcept returns the index of the largest entry other than skip, or
-// -1 when no other entry exists.
-func argmaxExcept(xs []float64, skip int) int {
-	best := -1
-	for i, x := range xs {
-		if i == skip {
-			continue
-		}
-		if best < 0 || x > xs[best] {
-			best = i
-		}
-	}
-	return best
 }

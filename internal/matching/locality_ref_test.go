@@ -124,12 +124,29 @@ var diffShapes = []struct {
 	}},
 }
 
-// TestMatchIntoMatchesReference holds LocalityFirst.MatchInto to the
-// three-sort reference bit for bit: every swarm size from 1 to 400,
-// every placement shape, unbounded, zero, paper and binding budgets,
-// with one Allocation recycled across calls as the engines do.
+// refExchangeOrder is the reference's pass-1 order as MatchIntoOrdered
+// takes it: the peer indices sorted by (exchange, index) with the
+// comparator sort.
+func refExchangeOrder(peers []Peer) []int32 {
+	pairs := make([]groupPair, len(peers))
+	for i, p := range peers {
+		pairs[i] = groupPair{k1: int64(p.Exchange), idx: int32(i)}
+	}
+	slices.SortFunc(pairs, cmpGroupPair)
+	order := make([]int32, len(pairs))
+	for i, p := range pairs {
+		order[i] = p.idx
+	}
+	return order
+}
+
+// TestMatchIntoMatchesReference holds LocalityFirst.MatchInto and
+// MatchIntoOrdered to the three-sort reference bit for bit: every swarm
+// size from 1 to 400, every placement shape, unbounded, zero, paper and
+// binding budgets, with one Allocation recycled across calls as the
+// engines do.
 func TestMatchIntoMatchesReference(t *testing.T) {
-	var got Allocation
+	var got, gotOrdered Allocation
 	for _, shape := range diffShapes {
 		rng := rand.New(rand.NewSource(int64(len(shape.name))))
 		for n := 1; n <= 400; n++ {
@@ -157,6 +174,10 @@ func TestMatchIntoMatchesReference(t *testing.T) {
 					t.Fatal(err)
 				}
 				allocationsEqual(t, fmt.Sprintf("%s n=%d budget=%g", shape.name, n, budget), &got, want)
+				if err := (LocalityFirst{}).MatchIntoOrdered(&gotOrdered, peers, refExchangeOrder(peers), demands, caps, budget); err != nil {
+					t.Fatal(err)
+				}
+				allocationsEqual(t, fmt.Sprintf("ordered %s n=%d budget=%g", shape.name, n, budget), &gotOrdered, want)
 			}
 		}
 	}

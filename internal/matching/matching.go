@@ -26,6 +26,7 @@ package matching
 
 import (
 	"errors"
+	"math"
 
 	"consumelocal/internal/energy"
 )
@@ -97,13 +98,18 @@ func validate(peers []Peer, demands, caps []float64) (totalDemand float64, err e
 		return 0, errMismatchedInputs
 	}
 	for i := range demands {
-		if demands[i] < 0 || caps[i] < 0 {
-			return 0, errors.New("matching: demands and capacities must be non-negative")
+		if !nonNegative(demands[i]) || !nonNegative(caps[i]) {
+			return 0, errors.New("matching: demands and capacities must be finite and non-negative")
 		}
 		totalDemand += demands[i]
 	}
 	return totalDemand, nil
 }
+
+// nonNegative reports whether x is a finite non-negative number. NaN
+// fails both comparisons. A NaN demand would keep the greedy from ever
+// stopping, and an infinite capacity turns residuals into NaN (∞·0).
+func nonNegative(x float64) bool { return x >= 0 && x <= math.MaxFloat64 }
 
 // reset prepares a as the no-sharing allocation over n peers: zeroed
 // layer and per-peer vectors, the whole demand on the server. The

@@ -410,3 +410,24 @@ func TestPairLocalisation(t *testing.T) {
 		t.Error("empty input should yield zero probabilities")
 	}
 }
+
+// TestMatchRejectsNonFinite: a NaN or infinite demand or capacity is
+// refused by both policies, like a negative one. A NaN demand used to
+// keep the greedy from stopping, and an infinite capacity returned
+// uploads that do not sum to the peer traffic.
+func TestMatchRejectsNonFinite(t *testing.T) {
+	for _, p := range policies() {
+		for _, bad := range []float64{math.NaN(), math.Inf(1)} {
+			peers, demands, caps := uniformInputs([]int{0, 0, 1}, 9, 100, 100)
+			demands[1] = bad
+			if _, err := p.Match(peers, demands, caps, -1); err == nil {
+				t.Errorf("%s: demand %v accepted", p.Name(), bad)
+			}
+			demands[1] = 100
+			caps[2] = bad
+			if _, err := p.Match(peers, demands, caps, -1); err == nil {
+				t.Errorf("%s: capacity %v accepted", p.Name(), bad)
+			}
+		}
+	}
+}

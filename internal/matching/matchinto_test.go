@@ -92,17 +92,32 @@ func TestMatchIntoReusesAllocation(t *testing.T) {
 	}
 }
 
+// orderedPolicy runs LocalityFirst.MatchIntoOrdered behind Policy's
+// MatchInto for the tests and benchmarks, handing it an (exchange,
+// index) order computed once up front, as the engine keeps it. MatchInto
+// must be given the peers the order was built from.
+type orderedPolicy struct {
+	LocalityFirst
+	byExchange []int32
+}
+
+func (p orderedPolicy) Name() string { return "locality-first-ordered" }
+
+func (p orderedPolicy) MatchInto(a *Allocation, peers []Peer, demands, caps []float64, budget float64) error {
+	return p.MatchIntoOrdered(a, peers, p.byExchange, demands, caps, budget)
+}
+
 // TestMatchIntoAllocs pins the recycled matching path at zero
-// allocations at steady state, for both policies: once the Allocation's
-// per-peer vectors and the pooled scratch have grown, an interval match
-// must not touch the heap.
+// allocations at steady state, for both policies and LocalityFirst's
+// ordered entry: once the Allocation's per-peer vectors and the pooled
+// scratch have grown, an interval match must not touch the heap.
 func TestMatchIntoAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector drops pooled scratch on purpose, so pooled reuse cannot be pinned")
 	}
-	for _, policy := range []Policy{LocalityFirst{}, Random{}} {
+	peers, demands, caps := matchWorkload(128, 1)
+	for _, policy := range []Policy{LocalityFirst{}, Random{}, orderedPolicy{byExchange: refExchangeOrder(peers)}} {
 		t.Run(policy.Name(), func(t *testing.T) {
-			peers, demands, caps := matchWorkload(128, 1)
 			var a Allocation
 			if err := policy.MatchInto(&a, peers, demands, caps, -1); err != nil {
 				t.Fatal(err)
@@ -119,12 +134,37 @@ func TestMatchIntoAllocs(t *testing.T) {
 	}
 }
 
+// TestMatchIntoOrderedRejectsBadOrder: an order that is not every peer
+// index once in (exchange, index) order is refused, not matched on.
+func TestMatchIntoOrderedRejectsBadOrder(t *testing.T) {
+	peers, demands, caps := uniformInputs([]int{3, 1, 3, 2}, 9, 100, 100)
+	for _, order := range [][]int32{
+		{1, 3, 0},       // one short
+		{1, 3, 0, 2, 2}, // one long
+		{1, 3, 0, 0},    // an index twice
+		{1, 3, 0, 4},    // an index out of range
+		{1, 3, 2, 0},    // exchange 3's members out of index order
+		{3, 1, 0, 2},    // exchanges out of order
+		{1, 3, 0, -1},   // a negative index
+	} {
+		var a Allocation
+		if err := (LocalityFirst{}).MatchIntoOrdered(&a, peers, order, demands, caps, -1); err == nil {
+			t.Errorf("order %v accepted", order)
+		}
+	}
+	var a Allocation
+	if err := (LocalityFirst{}).MatchIntoOrdered(&a, peers, []int32{1, 3, 0, 2}, demands, caps, -1); err != nil {
+		t.Fatalf("valid order refused: %v", err)
+	}
+}
+
 // BenchmarkMatchInto measures one interval's matching through the
 // recycled-Allocation path, the hottest call in every engine, on three
 // interval shapes: 128 peers over a 12-exchange tree, and the two
 // shapes the gated workloads produce on the London tree — catch-up
 // replay (3 peers per interval on average) and a live evening
-// (about 100).
+// (about 100). locality-first-ordered is the engine's path, handed the
+// (exchange, index) order instead of sorting.
 func BenchmarkMatchInto(b *testing.B) {
 	shapes := []struct {
 		name     string
@@ -135,10 +175,15 @@ func BenchmarkMatchInto(b *testing.B) {
 		{"catch-up", londonWorkload, 3},
 		{"live", londonWorkload, 100},
 	}
-	for _, policy := range []Policy{LocalityFirst{}, Random{}} {
+	for _, policy := range []Policy{LocalityFirst{}, Random{}, orderedPolicy{}} {
 		for _, shape := range shapes {
 			b.Run(policy.Name()+"/"+shape.name, func(b *testing.B) {
 				peers, demands, caps := shape.workload(shape.n, 1)
+				policy := policy
+				if p, ok := policy.(orderedPolicy); ok {
+					p.byExchange = refExchangeOrder(peers)
+					policy = p
+				}
 				var a Allocation
 				if err := policy.MatchInto(&a, peers, demands, caps, -1); err != nil {
 					b.Fatal(err)

@@ -19,6 +19,7 @@ package sim
 import (
 	"errors"
 	"fmt"
+	"math"
 	"sync"
 
 	"consumelocal/internal/matching"
@@ -185,6 +186,11 @@ func (c Config) PeerBudget(sumCaps float64, n int) float64 {
 
 // validate rejects configurations the simulator cannot run.
 func (c Config) validate() error {
+	// NaN passes every sign check below and would turn offload into a
+	// silent 0%; an infinite rate has no meaning either.
+	if !finite(c.UploadRatio) || !finite(c.UploadBps) || !finite(c.ParticipationRate) {
+		return errors.New("sim: upload ratio, upload bandwidth and participation rate must be finite")
+	}
 	if c.UploadBps < 0 {
 		return errors.New("sim: upload bandwidth must be non-negative")
 	}
@@ -196,8 +202,8 @@ func (c Config) validate() error {
 	}
 	var tierWeight float64
 	for _, tier := range c.UploadTiers {
-		if tier.Bps < 0 || tier.Weight < 0 {
-			return errors.New("sim: upload tiers must have non-negative bandwidth and weight")
+		if !finite(tier.Bps) || !finite(tier.Weight) || tier.Bps < 0 || tier.Weight < 0 {
+			return errors.New("sim: upload tiers must have finite non-negative bandwidth and weight")
 		}
 		tierWeight += tier.Weight
 	}
@@ -206,6 +212,9 @@ func (c Config) validate() error {
 	}
 	return nil
 }
+
+// finite reports whether x is neither NaN nor ±Inf.
+func finite(x float64) bool { return !math.IsNaN(x) && !math.IsInf(x, 0) }
 
 // tierOf assigns a user to an upload tier by deterministic hash,
 // proportionally to tier weights. It returns -1 when no tiers are

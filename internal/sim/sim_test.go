@@ -45,6 +45,21 @@ func TestConfigValidation(t *testing.T) {
 	if _, err := Run(tr, Config{UploadBps: -5}); err == nil {
 		t.Error("negative upload bandwidth should be rejected")
 	}
+	// NaN passes a sign check, so each non-finite value needs its own
+	// refusal; a run would otherwise report 0% offload or nonsense.
+	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		for name, cfg := range map[string]Config{
+			"ratio":         DefaultConfig(bad),
+			"bps":           {UploadRatio: 1, UploadBps: bad},
+			"participation": {UploadRatio: 1, ParticipationRate: bad},
+			"tier bps":      {UploadTiers: []UploadTier{{Bps: 1e6, Weight: 1}, {Bps: bad, Weight: 1}}},
+			"tier weight":   {UploadTiers: []UploadTier{{Bps: 1e6, Weight: 1}, {Bps: 2e6, Weight: bad}}},
+		} {
+			if _, err := Run(tr, cfg); err == nil {
+				t.Errorf("%s %v should be rejected", name, bad)
+			}
+		}
+	}
 }
 
 func TestRunRejectsInvalidTrace(t *testing.T) {
