@@ -35,6 +35,11 @@ go test ./...
 go test -race . ./internal/engine/... ./cmd/consumelocald/... ./internal/obs/... \
 	./internal/joblog/... ./internal/loadgen/... ./internal/sim/... ./internal/swarm/... \
 	./internal/matching/...
+# The engine's feed hands window marks to a collector goroutine while
+# the workers settle them and the sinks run: repeat the tests that pin
+# that hand-off's ordering (backpressure, cancellation, error order,
+# live watermarks, overlap, a lagging sink) under the race detector.
+go test -race -count=5 -run 'TestStream(Backpressure|Context|Propagates|SinkOverlapsFeed|SlowSink)|TestLiveSource' ./internal/engine/
 # Metrics lint: every /metrics scrape must parse under the exposition
 # linter (HELP/TYPE metadata, histogram suffixes, no duplicate series)
 # and expose the documented families — see docs/OBSERVABILITY.md.

@@ -349,9 +349,11 @@ func (s *server) handleReplay(w http.ResponseWriter, r *http.Request) {
 	j.mu.Unlock()
 	sink.start(j.id)
 
-	// Snapshot lines stream from the replay's feed goroutine; wait for
-	// the job to settle before writing the closing line (no writes
-	// interleave — sinks finish before the status transition lands).
+	// Snapshot lines stream from the replay's collector goroutine while
+	// its feed goroutine reads the request body, so the connection reads
+	// and writes at once (hence EnableFullDuplex above); wait for the job
+	// to settle before writing the closing line (no writes interleave —
+	// sinks finish before the status transition lands).
 	// The wait does not bail on r.Context().Done(): the request context
 	// is the job's context, so a disconnect unwinds the replay and
 	// settles the status promptly, and returning earlier would let the

@@ -192,7 +192,8 @@ func (j *job) pump() {
 
 // Snapshot implements consumelocal.Sink: it appends one snapshot to the
 // job's retained history and wakes its followers. It runs on the
-// replay's feed goroutine, after every other sink.
+// replay's collector goroutine, after every other sink, while the feed
+// reads on.
 func (j *job) Snapshot(snap engine.Snapshot) error {
 	t0 := time.Now()
 	j.mu.Lock()

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"bytes"
 	"context"
 	"testing"
 
@@ -77,4 +78,39 @@ func BenchmarkStreamLiveEvening(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(tr.Sessions)), "ns/session")
+}
+
+// BenchmarkStreamCatchUpHourly replays a scale-0.005 30-day catch-up
+// month (about 118k sessions, 720 hourly windows) from in-memory CSV
+// through a trace.Scanner, users tracked: the replay workload's shape,
+// where about three peers share an interval and the window marks, one
+// an hour, weigh as much as the settling. The 24-hour windows of the
+// root package's Stream and Replay benchmarks hide that cost.
+func BenchmarkStreamCatchUpHourly(b *testing.B) {
+	tr, err := trace.Generate(trace.DefaultGeneratorConfig(0.005))
+	if err != nil {
+		b.Fatal(err)
+	}
+	var csv bytes.Buffer
+	if err := tr.WriteCSV(&csv); err != nil {
+		b.Fatal(err)
+	}
+	cfg := DefaultConfig(1.0)
+	cfg.WindowSec = 3600
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sc, err := trace.NewScanner(bytes.NewReader(csv.Bytes()))
+		if err != nil {
+			b.Fatal(err)
+		}
+		run, err := Stream(context.Background(), sc, cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := run.Result(); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(b.N*len(tr.Sessions))/b.Elapsed().Seconds(), "sessions/s")
 }

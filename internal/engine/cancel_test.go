@@ -30,9 +30,10 @@ func waitForGoroutines(t *testing.T, baseline int) {
 
 // TestStreamContextCancelReleasesPipeline is the regression test for the
 // drain hazard: before cancellation existed, abandoning a Run stalled the
-// feed goroutine on the snapshot channel and its workers on their input
-// channels forever. Cancelling the context must unwind every pipeline
-// goroutine even though nobody is draining Snapshots.
+// goroutine emitting snapshots on the snapshot channel, the feed behind
+// it and the workers on their input channels forever. Cancelling the
+// context must unwind every pipeline goroutine even though nobody is
+// draining Snapshots.
 func TestStreamContextCancelReleasesPipeline(t *testing.T) {
 	tr := testTrace(t)
 	cfg := DefaultConfig(1.0)
@@ -48,8 +49,9 @@ func TestStreamContextCancelReleasesPipeline(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Receive one snapshot so the pipeline is demonstrably mid-flight,
-	// then abandon the run: the feed stalls on the snapshot channel once
-	// its buffer fills, a few windows into the 120-window trace.
+	// then abandon the run: the collector stalls on the snapshot channel
+	// once its buffer fills, and the feed behind it, a few windows into
+	// the 120-window trace.
 	if _, ok := <-run.Snapshots(); !ok {
 		t.Fatal("no snapshots before cancellation")
 	}

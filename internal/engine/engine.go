@@ -19,10 +19,12 @@
 // The event stream is sharded across workers by swarm key — swarms are
 // independent, so the partition is exact — and results merge in
 // deterministic key order, so per-swarm statistics and the total are
-// invariant to the worker count. Progress is reported as windowed
-// Snapshot values, handed by the feed goroutine to every attached Sink
-// and then to a bounded channel: when a sink or the channel consumer
-// lags, the pipeline blocks all the way back to the input reader
+// invariant to the worker count. The feed goroutine reads, shards and
+// marks window boundaries without waiting for the workers to settle
+// them; a collector goroutine merges each mark's worker deltas into a
+// windowed Snapshot, hands it to every attached Sink and then to a
+// bounded channel. When a sink or the channel consumer lags, the
+// pipeline blocks all the way back to the input reader
 // (backpressure), keeping memory bounded by the active-session
 // population rather than the trace length. Run is the one handle on a
 // replay in progress: the library's consumelocal.Job is this type.
@@ -62,27 +64,31 @@ type Config struct {
 	// Snapshots channel (see Sink).
 	Sinks []Sink
 	// Stats, when non-nil, receives per-stage instrumentation: the feed
-	// times every source read and every snapshot hand-off (sinks plus
-	// channel), and workers time every settlement, both the Advance an
-	// arriving session makes and each window mark. That costs two clock
-	// reads per session on each of the read and settle stages plus two
-	// per window mark; without Stats the clock is never read.
+	// times every source read, the collector every snapshot hand-off
+	// (sinks plus channel), and workers time every settlement, both the
+	// Advance an arriving session makes and each window mark. The three
+	// stages run at once, so their totals overlap in wall time. That
+	// costs two clock reads per session on each of the read and settle
+	// stages plus two per window mark; without Stats the clock is never
+	// read.
 	Stats *obs.ReplayMetrics
 }
 
-// snapshotBuffer bounds the Snapshots channel: a consumer lagging by
-// more than this many windows stalls the feed, and backpressure
-// propagates through the workers to the input reader. A few windows of
-// slack absorb a consumer's per-window jitter, while a stalled consumer
-// pins no more than a handful of snapshots.
+// snapshotBuffer is how many windows a consumer may lag by: the
+// Snapshots channel holds snapshotBuffer-1 of them and the collector
+// holds one more while it waits to hand it over. A consumer lagging
+// further stalls the collector, then the feed at its next mark, and
+// backpressure propagates through the workers to the input reader. A
+// few windows of slack absorb a consumer's per-window jitter, while a
+// stalled consumer pins no more than a handful of snapshots.
 const snapshotBuffer = 4
 
 // Sink observes a run from the side: every windowed snapshot, then the
-// final outcome exactly once. Sinks run on the feed goroutine, each
-// snapshot reaching every sink before the Snapshots channel — a slow
-// sink slows the replay (sinks are part of the pipeline, not a lossy
-// tap), and the first sink error aborts it: a failed sink gets no
-// further snapshots.
+// final outcome exactly once. Sinks run on the collector goroutine,
+// each snapshot reaching every sink before the Snapshots channel, while
+// the feed reads on from the source — a slow sink slows the replay
+// (sinks are part of the pipeline, not a lossy tap), and the first sink
+// error aborts it: a failed sink gets no further snapshots.
 type Sink interface {
 	// Snapshot consumes one windowed progress report.
 	Snapshot(Snapshot) error
@@ -152,8 +158,12 @@ type Run struct {
 	cancel    context.CancelFunc
 	snapshots chan Snapshot
 	done      chan struct{}
-	// result and err are written by the feed before it closes done and
-	// read only after done is closed, so they need no lock.
+	// feedErr is the error that stopped the feed, nil after the final
+	// mark. The feed writes it before closing its marks channel, and the
+	// collector reads it only after seeing that close.
+	feedErr error
+	// result and err are written by the collector before it closes done
+	// and read only after done is closed, so they need no lock.
 	result *sim.Result
 	err    error
 }
@@ -202,11 +212,15 @@ func (r *Run) Result() (*sim.Result, error) {
 // background: progress reaches the sinks and Run.Snapshots, the final
 // outcome Run.Result.
 //
-// When ctx is cancelled, or Run.Cancel is called, the feed loop stops
-// reading the source, stops emitting snapshots, closes the worker
-// inputs and unwinds, so every pipeline goroutine exits even if the
+// The feed goroutine reads the source and broadcasts window marks; the
+// collector goroutine turns each mark into a snapshot for the sinks and
+// Run.Snapshots while the feed reads on. When ctx is cancelled, or
+// Run.Cancel is called, the feed stops reading the source, the
+// collector stops emitting snapshots, the worker inputs close and the
+// pipeline unwinds, so every pipeline goroutine exits even if the
 // snapshot consumer has walked away. Run.Result then reports
-// ctx.Err(). Cancellation is observed between sessions and at every
+// ctx.Err(). A worker or sink failure cancels the run's context the
+// same way. Cancellation is observed between sessions and at every
 // channel hand-off; it cannot interrupt a plain Source blocked inside
 // Next (a LiveSource blocks ctx-aware in NextEvent, so live replays
 // unwind even while the producer is silent).
@@ -226,10 +240,26 @@ func Stream(ctx context.Context, src Source, cfg Config) (*Run, error) {
 	r := &Run{
 		meta:      meta,
 		cancel:    cancel,
-		snapshots: make(chan Snapshot, snapshotBuffer),
+		snapshots: make(chan Snapshot, snapshotBuffer-1),
 		done:      make(chan struct{}),
 	}
-	go r.feed(ctx, src, cfg)
+	inputs := make([]chan wmsg, cfg.Workers)
+	acks := make([]chan ack, cfg.Workers)
+	reports := make(chan report, cfg.Workers)
+	for i := range inputs {
+		inputs[i] = make(chan wmsg, 4)
+		// The feed broadcasts mark k+1 only after the collector has taken
+		// mark k, which it does only after reading every ack of mark k-1:
+		// a worker holds at most two unread acks, so its sends never block.
+		acks[i] = make(chan ack, 2)
+		go newWorker(i, cfg, meta).run(inputs[i], acks[i], reports)
+	}
+	marks := make(chan window)
+	go func() {
+		defer close(marks)
+		r.feedErr = r.feed(ctx, src, cfg, inputs, marks)
+	}()
+	go r.collect(ctx, cfg, marks, acks, reports)
 	return r, nil
 }
 
@@ -277,7 +307,6 @@ type wmsg struct {
 
 // ack is a worker's reply to one window mark.
 type ack struct {
-	worker int
 	delta  sim.Tally
 	active int
 	swarms int
@@ -293,40 +322,38 @@ type report struct {
 	err    error
 }
 
-// feed is the coordinator goroutine: it pulls sessions from the source,
-// shards them across workers by swarm key, broadcasts window marks as
-// the arrival watermark crosses boundaries, merges worker deltas into
-// snapshots, and assembles the final result in deterministic key order.
+// window is the feed's bookkeeping for one broadcast mark, handed to the
+// collector in mark order: everything the snapshot needs that the
+// workers' acks do not carry, taken when the mark was sent.
+type window struct {
+	index    int
+	from, to int64
+	sessions int64
+	final    bool
+}
+
+// feed is the pipeline's first stage: it pulls sessions from the
+// source, shards them across workers by swarm key, and broadcasts a
+// window mark whenever the arrival watermark crosses a boundary,
+// handing the window's bookkeeping to the collector and reading on
+// without waiting for the workers to settle it. It returns the error
+// that stopped it, or nil once the final mark is handed over, and
+// closes the worker inputs on the way out.
 //
-// Liveness invariant: the acks and reports channels are buffered to the
-// worker count and a worker sends at most one ack per mark it has
-// received (and one report, on the final mark), so worker sends never
-// block. Workers therefore always drain their inputs and exit when the
-// feed closes them — the only goroutine that can stall is the feed
-// itself, in a sink, on a worker input or on the snapshot channel; both
-// sends select on ctx, so cancellation unwinds the whole pipeline.
-func (r *Run) feed(ctx context.Context, src Source, cfg Config) {
-	defer close(r.done)
-	defer close(r.snapshots)
-	defer r.finish(cfg.Sinks)
-
-	inputs := make([]chan wmsg, cfg.Workers)
-	acks := make(chan ack, cfg.Workers)
-	reports := make(chan report, cfg.Workers)
-	for i := range inputs {
-		inputs[i] = make(chan wmsg, 4)
-		w := newWorker(i, cfg, r.meta)
-		go w.run(inputs[i], acks, reports)
-	}
-
+// Liveness invariant: workers ack on channels that always have room
+// (see Stream) and send one report each on a channel buffered to the
+// worker count, so they always drain their inputs and exit when the
+// feed closes them. The feed itself blocks only in the source, on a
+// worker input or handing a mark to the collector; the last two select
+// on ctx, and the collector cancels ctx when it fails, so the feed
+// unwinds whichever side stops first.
+func (r *Run) feed(ctx context.Context, src Source, cfg Config, inputs []chan wmsg, marks chan<- window) error {
 	var (
 		sessionsSeen int64
 		prevStart    int64 = -1
 		windowIdx    int
 		boundary     = cfg.WindowSec
-		cum          sim.Tally
 		ferr         error
-		deltas       = make([]sim.Tally, cfg.Workers)
 		// pend accumulates each shard's in-flight session batch; a batch
 		// is handed off when full or ahead of a window mark.
 		pend = make([][]item, cfg.Workers)
@@ -340,90 +367,41 @@ func (r *Run) feed(ctx context.Context, src Source, cfg Config) {
 			pend[i] = nil
 			return true
 		case <-ctx.Done():
-			if ferr == nil {
-				ferr = ctx.Err()
-			}
+			ferr = ctx.Err()
 			return false
 		}
 	}
 
-	// flush broadcasts a mark, merges the worker acks in worker order
-	// (deterministic for a fixed worker count) and emits a snapshot.
-	// Pending batches are handed off first: every session arriving ahead
-	// of the mark must reach its worker ahead of it. It reports false
-	// once any worker has failed or ctx is done.
-	flush := func(until int64, final bool) bool {
+	// mark broadcasts a window mark to every worker, then hands the
+	// window to the collector. Pending batches are handed off first:
+	// every session arriving ahead of the mark must reach its worker
+	// ahead of it. A window is handed over only once every worker has its
+	// mark, so the collector can read one ack from each. It reports false
+	// once ctx is done.
+	mark := func(until int64, final bool) bool {
 		msg := wmsg{mark: true, final: final, until: until}
-		sent := 0
 		for i := range inputs {
 			if len(pend[i]) > 0 && !sendBatch(i) {
-				break
+				return false
 			}
 			select {
 			case inputs[i] <- msg:
-				sent++
 			case <-ctx.Done():
-				if ferr == nil {
-					ferr = ctx.Err()
-				}
-			}
-			if ferr != nil {
-				break
+				ferr = ctx.Err()
+				return false
 			}
 		}
-		var active, swarms int
-		for n := 0; n < sent; n++ {
-			// Safe to receive unconditionally: every worker that got the
-			// mark replies, and its send never blocks (buffered channel).
-			//consumelocal:ignore ctxsend every marked worker acks exactly once on a buffered channel, so this receive cannot stall
-			a := <-acks
-			deltas[a.worker] = a.delta
-			active += a.active
-			swarms += a.swarms
-			if a.err != nil && ferr == nil {
-				ferr = a.err
-			}
+		win := window{index: windowIdx, from: int64(windowIdx) * cfg.WindowSec, to: until, sessions: sessionsSeen, final: final}
+		if final {
+			win.to = max(r.meta.HorizonSec, win.from)
 		}
-		if ferr != nil {
+		select {
+		case marks <- win:
+			return true
+		case <-ctx.Done():
+			ferr = ctx.Err()
 			return false
 		}
-		var delta sim.Tally
-		for _, d := range deltas {
-			delta.Add(d)
-		}
-		cum.Add(delta)
-		from := int64(windowIdx) * cfg.WindowSec
-		to := until
-		if final {
-			to = r.meta.HorizonSec
-			if to < from {
-				to = from
-			}
-		}
-		snap := Snapshot{
-			Index:         windowIdx,
-			FromSec:       from,
-			ToSec:         to,
-			SessionsSeen:  sessionsSeen,
-			ActiveMembers: active,
-			Swarms:        swarms,
-			Delta:         delta,
-			Cumulative:    cum,
-			Final:         final,
-		}
-		var t0 time.Time
-		if cfg.Stats != nil {
-			t0 = time.Now()
-		}
-		ferr = r.emit(ctx, snap, cfg.Sinks)
-		if cfg.Stats != nil {
-			// Emit time covers sink delivery and the (possibly
-			// backpressured) channel hand-off: the consumer-side stall an
-			// operator is usually hunting.
-			cfg.Stats.SinkEmitSeconds.Add(time.Since(t0).Seconds())
-			cfg.Stats.WindowsSettled.Inc()
-		}
-		return ferr == nil
 	}
 
 	// A LiveSource delivers watermark marks interleaved with sessions and
@@ -464,7 +442,7 @@ func (r *Run) feed(ctx context.Context, src Source, cfg Config) {
 				wm = r.meta.HorizonSec
 			}
 			for wm >= boundary {
-				if !flush(boundary, false) {
+				if !mark(boundary, false) {
 					break
 				}
 				windowIdx++
@@ -512,8 +490,9 @@ func (r *Run) feed(ctx context.Context, src Source, cfg Config) {
 			s.DurationSec = int32(end - start)
 		}
 
+		marked := s.StartSec >= boundary
 		for s.StartSec >= boundary {
-			if !flush(boundary, false) {
+			if !mark(boundary, false) {
 				break
 			}
 			windowIdx++
@@ -521,6 +500,13 @@ func (r *Run) feed(ctx context.Context, src Source, cfg Config) {
 		}
 		if ferr != nil {
 			break
+		}
+		if marked {
+			// Hand this CPU to the woken workers before reading on: on a
+			// box with as many CPUs as workers, a feed that keeps running
+			// leaves them one CPU fewer to settle the mark on, and the
+			// snapshot comes out later.
+			runtime.Gosched()
 		}
 		shard := shardOf(key, cfg.Workers)
 		if pend[shard] == nil {
@@ -533,36 +519,106 @@ func (r *Run) feed(ctx context.Context, src Source, cfg Config) {
 	}
 
 	// Final mark: settle everything pending (including activity past the
-	// last window boundary and beyond the horizon) and emit the closing
-	// snapshot, unless the run already failed.
+	// last window boundary and beyond the horizon), unless the run
+	// already failed.
 	if ferr == nil {
-		flush(math.MaxInt64, true)
+		mark(math.MaxInt64, true)
 	}
 	for i := range inputs {
 		close(inputs[i])
 	}
-	if ferr != nil {
-		// Failed or cancelled: workers drain their queues and exit on the
-		// input close without reporting (their ack/report sends are
-		// buffered, so none of them can stall). Discard the run.
-		r.err = ferr
-		return
-	}
+	return ferr
+}
 
-	shards := make([]report, cfg.Workers)
-	for n := 0; n < cfg.Workers; n++ {
-		//consumelocal:ignore ctxsend every worker sends its final report exactly once on a buffered channel after the final mark, so this receive cannot stall
-		rep := <-reports
-		shards[rep.worker] = rep
-		if rep.err != nil {
-			ferr = rep.err
+// collect is the pipeline's second stage: it takes the feed's windows
+// in mark order, merges each mark's worker acks in worker order into a
+// snapshot and emits it, and after the final mark gathers the workers'
+// reports into the result. It settles the run's outcome and closes
+// Snapshots and done once the feed has returned (the feed's marks
+// channel closes after it does).
+//
+// Errors keep the order a serial replay would meet them in: a worker or
+// sink failure at mark k comes before anything the feed met after
+// handing mark k over, so it is the run's error even when the feed has
+// failed on its own since. On failure the collector cancels the run's
+// context, so the feed unwinds even while blocked in a LiveSource, and
+// reads on the acks of every window still handed over, so no worker
+// holds more unread acks than its channel buffers.
+func (r *Run) collect(ctx context.Context, cfg Config, marks <-chan window, acks []chan ack, reports <-chan report) {
+	defer close(r.done)
+	defer close(r.snapshots)
+	defer r.finish(cfg.Sinks)
+
+	var (
+		cum sim.Tally
+		err error
+	)
+	//consumelocal:ignore ctxsend the feed closes marks when it returns: at the end of the source, on its own error, or once ctx is done, which any failure here brings about
+	for win := range marks {
+		var (
+			delta          sim.Tally
+			active, swarms int
+		)
+		for _, ch := range acks {
+			//consumelocal:ignore ctxsend a window is handed over only once every worker has its mark, and each worker acks every mark once, so this receive cannot stall
+			a := <-ch
+			delta.Add(a.delta)
+			active += a.active
+			swarms += a.swarms
+			if a.err != nil && err == nil {
+				err = a.err
+			}
+		}
+		if err == nil {
+			cum.Add(delta)
+			snap := Snapshot{
+				Index:         win.index,
+				FromSec:       win.from,
+				ToSec:         win.to,
+				SessionsSeen:  win.sessions,
+				ActiveMembers: active,
+				Swarms:        swarms,
+				Delta:         delta,
+				Cumulative:    cum,
+				Final:         win.final,
+			}
+			var t0 time.Time
+			if cfg.Stats != nil {
+				t0 = time.Now()
+			}
+			err = r.emit(ctx, snap, cfg.Sinks)
+			if cfg.Stats != nil {
+				// Emit time covers sink delivery and the (possibly
+				// backpressured) channel hand-off: the consumer-side stall
+				// an operator is usually hunting.
+				cfg.Stats.SinkEmitSeconds.Add(time.Since(t0).Seconds())
+				cfg.Stats.WindowsSettled.Inc()
+			}
+		}
+		if err != nil {
+			// Stop the feed; the loop goes on only to read the acks of the
+			// windows it still hands over.
+			r.cancel()
 		}
 	}
-	if ferr != nil {
-		r.err = ferr
-		return
+	if err == nil {
+		err = r.feedErr
 	}
-	r.result = mergeShards(shards, cfg, r.meta)
+	if err == nil {
+		shards := make([]report, len(acks))
+		for range shards {
+			//consumelocal:ignore ctxsend every worker sends its final report exactly once on a buffered channel after the final mark, so this receive cannot stall
+			rep := <-reports
+			shards[rep.worker] = rep
+			if rep.err != nil {
+				err = rep.err
+			}
+		}
+		if err == nil {
+			r.result = mergeShards(shards, cfg, r.meta)
+		}
+	}
+	r.err = err
 }
 
 // emit hands snap to every sink, then to the Snapshots channel. It
@@ -588,11 +644,12 @@ func (r *Run) emit(ctx context.Context, snap Snapshot, sinks []Sink) error {
 	}
 }
 
-// finish hands the outcome the feed recorded to every sink, then
+// finish hands the outcome the collector recorded to every sink, then
 // releases the run's context, which unregisters the finished run from
 // its parent so a long-lived parent does not accumulate completed
-// children. The feed defers it ahead of closing Snapshots, so Finish
-// runs while the channel is still open and must not try to drain it.
+// children. The collector defers it ahead of closing Snapshots, so
+// Finish runs while the channel is still open and must not try to
+// drain it.
 func (r *Run) finish(sinks []Sink) {
 	defer r.cancel()
 	// Every sink observes the replay's own outcome; a sink failing in

@@ -153,9 +153,10 @@ func (c *countingSource) Next() (trace.Session, error) {
 
 // TestStreamBackpressure checks that a stalled consumer stalls the
 // pipeline rather than buffering unboundedly: once the consumer stops
-// after snapshot 0, the feed fills the snapshot buffer, settles one more
-// window and blocks handing it off, so it reads no further than the
-// session that closed that window. Draining then completes the run.
+// after snapshot 0, the collector fills the snapshot channel and blocks
+// holding one more snapshot, and the feed blocks handing it the next
+// mark, so it reads no further than the session that triggered that
+// mark. Draining then completes the run.
 func TestStreamBackpressure(t *testing.T) {
 	tr := testTrace(t)
 	cfg := DefaultConfig(1.0)
@@ -187,10 +188,10 @@ func TestStreamBackpressure(t *testing.T) {
 		}
 		reads = now
 	}
-	// Snapshots 1..snapshotBuffer fill the channel and the next one
-	// blocks: the feed has read the sessions starting in the first
-	// snapshotBuffer+2 windows, plus the one that triggered the blocked
-	// flush.
+	// Snapshots 1..snapshotBuffer-1 fill the channel, the collector
+	// holds snapshot snapshotBuffer and the feed blocks handing over the
+	// next mark: it has read the sessions starting in the first
+	// snapshotBuffer+2 windows, plus the one that triggered that mark.
 	closed := int64(snapshotBuffer+2) * cfg.WindowSec
 	bound := int64(1)
 	for _, s := range tr.Sessions {

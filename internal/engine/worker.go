@@ -192,7 +192,7 @@ func (w *worker) run(in <-chan wmsg, acks chan<- ack, reports chan<- report) {
 		} else {
 			w.mark(msg.until, msg.final)
 		}
-		acks <- ack{worker: w.id, delta: w.delta, active: w.active, swarms: len(w.ordered), err: w.err}
+		acks <- ack{delta: w.delta, active: w.active, swarms: len(w.ordered), err: w.err}
 		w.delta = sim.Tally{}
 		if msg.final {
 			reports <- w.report()

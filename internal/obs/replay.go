@@ -4,11 +4,12 @@ package obs
 // registered on one Registry by NewReplayMetrics and handed to the
 // engine through consumelocal.WithInstrumentation: per-stage wall-clock
 // totals (source read, engine settle, sink emit) and per-job throughput
-// counters. The engine's feed loop times reads and emits while its
-// workers time settlement, all at once. Counters aggregate correctly
-// when many jobs share one set (the consumelocald daemon registers
-// exactly one). A live ingest stream's backpressure figures come from
-// its IngestSource accessors instead.
+// counters. The engine's feed loop times reads, its collector times
+// emits and its workers time settlement, all at once, so the stage
+// totals overlap in wall time rather than sum to it. Counters
+// aggregate correctly when many jobs share one set (the consumelocald
+// daemon registers exactly one). A live ingest stream's backpressure
+// figures come from its IngestSource accessors instead.
 type ReplayMetrics struct {
 	// SourceReadSeconds accumulates wall-clock time spent reading the
 	// Source (Next/NextEvent), including time blocked waiting for a live
@@ -20,9 +21,9 @@ type ReplayMetrics struct {
 	// spend settling activity intervals, both as sessions arrive and at
 	// window marks (summed across workers, so it can exceed wall-clock).
 	SettleSeconds *Counter
-	// SinkEmitSeconds accumulates wall-clock time the feed spends
-	// handing each snapshot to the attached sinks and then the Job
-	// channel.
+	// SinkEmitSeconds accumulates wall-clock time the engine's
+	// collector spends handing each snapshot to the attached sinks and
+	// then the Job channel, while the feed reads on.
 	SinkEmitSeconds *Counter
 	// WindowsSettled counts snapshots emitted.
 	WindowsSettled *Counter

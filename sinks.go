@@ -13,10 +13,11 @@ import (
 
 // Sink observes a replay job from the side: every windowed snapshot, and
 // then the final outcome exactly once, while Job.Snapshots is still
-// open. Sinks run on the engine's feed goroutine, ahead of
-// Job.Snapshots — a slow sink slows the replay (that is the point: sinks
-// are part of the pipeline, not a lossy tap), and a sink error aborts
-// it: the failed sink gets no further snapshots.
+// open. Sinks run on the engine's collector goroutine, ahead of
+// Job.Snapshots, while the feed reads on from the source — a slow sink
+// slows the replay (that is the point: sinks are part of the pipeline,
+// not a lossy tap), and a sink error aborts it: the failed sink gets no
+// further snapshots.
 type Sink = engine.Sink
 
 // NDJSONSink streams every snapshot as one JSON line to w — the format
@@ -71,7 +72,7 @@ func (s *tsvSink) Snapshot(snap StreamSnapshot) error {
 func (s *tsvSink) Finish(*SimResult, error) error { return nil }
 
 // MetricsSink exposes the latest replay state as Prometheus-style
-// gauges. It is safe for concurrent use: the replay's feed goroutine
+// gauges. It is safe for concurrent use: the replay's collector goroutine
 // writes while any number of scrapers read, so one sink can back a live
 // /metrics endpoint for a running replay (it implements http.Handler).
 type MetricsSink struct {
