@@ -40,6 +40,12 @@ go test -race . ./internal/engine/... ./cmd/consumelocald/... ./internal/obs/...
 # that hand-off's ordering (backpressure, cancellation, error order,
 # live watermarks, overlap, a lagging sink) under the race detector.
 go test -race -count=5 -run 'TestStream(Backpressure|Context|Propagates|SinkOverlapsFeed|SlowSink)|TestLiveSource' ./internal/engine/
+# The ingest queue's producers and its consumer share one condition
+# variable, and a call arms its cancellation wake-up only once it has
+# to wait: repeat the ingest hand-off tests (batch refusals, waits
+# woken by their own context, the daemon's ingest endpoint) under the
+# race detector.
+go test -race -count=10 -run 'TestIngest|TestPushBatch' . ./cmd/consumelocald/
 # Metrics lint: every /metrics scrape must parse under the exposition
 # linter (HELP/TYPE metadata, histogram suffixes, no duplicate series)
 # and expose the documented families — see docs/OBSERVABILITY.md.

@@ -92,7 +92,7 @@ func runReplay(args []string, out io.Writer) error {
 	case *liveScale > 0:
 		// The live demo drives the ingest path end to end: the evening-TV
 		// schedule is generated up front, but the replay consumes it the
-		// way a broadcast happens — pushed session by session into an
+		// way a broadcast happens — pushed hour by hour into an
 		// IngestSource, the watermark advanced each simulated hour, the
 		// stream sealed when the evening ends.
 		lcfg := consumelocal.DefaultLiveTraceConfig(*liveScale)
@@ -107,16 +107,21 @@ func runReplay(args []string, out io.Writer) error {
 		}
 		go func() {
 			watermark := int64(0)
-			for _, s := range tr.Sessions {
-				for next := watermark + 3600; next <= s.StartSec; next += 3600 {
+			for rest := tr.Sessions; len(rest) > 0; {
+				for next := watermark + 3600; next <= rest[0].StartSec; next += 3600 {
 					if ing.Advance(next) != nil {
 						return
 					}
 					watermark = next
 				}
-				if ing.Push(s) != nil {
+				n := 1
+				for n < len(rest) && rest[n].StartSec < watermark+3600 {
+					n++
+				}
+				if _, err := ing.PushBatch(context.Background(), rest[:n]); err != nil {
 					return
 				}
+				rest = rest[n:]
 			}
 			_ = ing.Advance(tr.HorizonSec)
 			_ = ing.Close()

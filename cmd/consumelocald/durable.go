@@ -266,10 +266,8 @@ func refeed(ing *consumelocal.IngestSource, st *joblog.JobState) error {
 			if err != nil {
 				return fmt.Errorf("replay journalled batch: %w", err)
 			}
-			for _, sess := range sessions {
-				if err := ing.Push(sess); err != nil {
-					return fmt.Errorf("replay journalled batch: %w", err)
-				}
+			if _, err := ing.PushBatch(context.Background(), sessions); err != nil {
+				return fmt.Errorf("replay journalled batch: %w", err)
 			}
 		}
 		if t.WatermarkSec > ing.Watermark() {

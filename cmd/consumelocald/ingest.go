@@ -291,9 +291,11 @@ func (s *server) ingestJob(w http.ResponseWriter, r *http.Request) *job {
 }
 
 // touchIngest records successful producer activity. The watchdog
-// measures idleness against the last touch (and against queue depth),
-// so touching per accepted session keeps a long-running batch alive
-// without racing timer resets against a concurrent fire.
+// measures idleness against the last touch and against queue depth, so
+// one touch per request suffices: a push waits only while the queue is
+// full, and the watchdog spares a job whose queue is not empty. Reading
+// the touch, rather than resetting the timer, keeps a long-running push
+// from racing timer resets against a concurrent fire.
 func (j *job) touchIngest() {
 	if j.idleTimer == nil {
 		return
@@ -376,33 +378,30 @@ func (s *server) handleIngestSessions(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// feed pushes a session batch onto the job's stream, then advances its
-// watermark, stopping at the first refusal. It reports how many
-// sessions landed and whether the watermark moved. A job recovery
-// settled has no queue and refuses any input with errIngestSettled.
+// feed pushes a session batch onto the job's stream in one hand-off,
+// then advances its watermark, stopping at the first refusal. It
+// reports how many sessions landed and whether the watermark moved. A
+// job recovery settled has no queue and refuses any input with
+// errIngestSettled.
 func (j *job) feed(ctx context.Context, sessions []trace.Session, watermark *int64) (pushed int, advanced bool, err error) {
-	if j.ingest == nil && (len(sessions) > 0 || watermark != nil) {
-		return 0, false, errIngestSettled
-	}
-	for _, sess := range sessions {
-		if err := j.ingest.PushContext(ctx, sess); err != nil {
-			return pushed, false, err
+	if j.ingest == nil {
+		if len(sessions) > 0 || watermark != nil {
+			return 0, false, errIngestSettled
 		}
-		pushed++
-		j.srv.met.ingestSessions.Inc()
-		// Touch per accepted session, not per batch: a large batch
-		// draining through backpressure for longer than the idle
-		// deadline is a live producer, not a silent one.
+		return 0, false, nil
+	}
+	pushed, err = j.ingest.PushBatch(ctx, sessions)
+	j.srv.met.ingestSessions.Add(float64(pushed))
+	if err == nil && watermark != nil {
+		err = j.ingest.AdvanceContext(ctx, *watermark)
+		advanced = err == nil
+	}
+	// One touch per request: while the push waited for room the queue
+	// was full, which the watchdog already counts as activity.
+	if pushed > 0 || advanced {
 		j.touchIngest()
 	}
-	if watermark == nil {
-		return pushed, false, nil
-	}
-	if err := j.ingest.AdvanceContext(ctx, *watermark); err != nil {
-		return pushed, false, err
-	}
-	j.touchIngest()
-	return pushed, true, nil
+	return pushed, advanced, err
 }
 
 // batchErrStatus distinguishes an oversized batch (413, the cap is the

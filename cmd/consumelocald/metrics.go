@@ -108,7 +108,7 @@ func newDaemonMetrics(s *server) *daemonMetrics {
 		journalReclaimed: r.Counter("consumelocald_journal_compaction_reclaimed_bytes_total",
 			"Journal bytes reclaimed by online compactions."),
 		journalFaults: r.CounterVec("consumelocald_journal_injected_faults_total",
-			"Faults injected into the journal write path by the testing seam, by kind (write, fsync, mangle). Always zero in production.",
+			"Faults injected into the journal write path by the testing seam, by kind (write, fsync, mangle, reopen). Always zero in production.",
 			"kind"),
 		recoveryJobs: r.CounterVec("consumelocald_recovery_jobs_total",
 			"Jobs reconciled during startup replay, by outcome (restored, resumed, resume_failed, interrupted, carried, dropped).", "outcome"),

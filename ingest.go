@@ -166,52 +166,69 @@ func (s *IngestSource) Push(sess Session) error {
 // PushContext is Push bounded by a context: a producer whose client has
 // disconnected stops waiting for queue space and returns ctx.Err().
 func (s *IngestSource) PushContext(ctx context.Context, sess Session) error {
-	defer s.wakeOnDone(ctx)()
+	_, err := s.PushBatch(ctx, []Session{sess})
+	return err
+}
+
+// PushBatch appends a run of sessions to the stream in order, as
+// len(sessions) PushContext calls would, but takes the queue lock and
+// wakes the consumer once per run instead of once per session. It
+// blocks while the queue is full, after handing the consumer what the
+// run has queued so far. It returns how many sessions landed before the
+// first refusal, with the error PushContext would have returned for the
+// refused session; a refusal leaves the stream usable, so a producer
+// resumes from sessions[n].
+func (s *IngestSource) PushBatch(ctx context.Context, sessions []Session) (n int, err error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	var blockStart time.Time
+	w := wait{s: s, ctx: ctx}
 	defer func() {
-		if !blockStart.IsZero() {
-			s.blockedNanos += int64(time.Since(blockStart))
+		s.blockedNanos += int64(w.end())
+		if n > 0 {
+			s.cond.Broadcast()
 		}
 	}()
-	for {
+	for n < len(sessions) {
+		// Nothing can close the stream or cancel this call unseen while
+		// s.mu is held, so its state is checked on entry and after each
+		// wait, not per session.
 		if err := s.closedLocked(); err != nil {
-			return err
+			return n, err
 		}
 		if err := ctx.Err(); err != nil {
-			return err
+			return n, err
 		}
-		if s.len() < s.capacity {
-			break
+		// Fill the room there is. Validate under the lock, after any
+		// wait: the floor (lastStart, watermark) only ever rises, so a
+		// session admitted here is ordered against everything already
+		// queued.
+		for ; n < len(sessions) && s.len() < s.capacity; n++ {
+			sess := sessions[n]
+			if sess.StartSec < s.lastStart {
+				return n, fmt.Errorf("consumelocal: ingest session %d: %w: starts at %d, before already-pushed start %d",
+					s.pushed, ErrOutOfOrder, sess.StartSec, s.lastStart)
+			}
+			if sess.StartSec < s.watermark {
+				return n, fmt.Errorf("consumelocal: ingest session %d: %w: starts at %d, behind watermark %d",
+					s.pushed, ErrOutOfOrder, sess.StartSec, s.watermark)
+			}
+			if err := s.meta.ValidateSession(s.pushed, sess); err != nil {
+				return n, err
+			}
+			s.queue = append(s.queue, SourceEvent{Session: sess})
+			s.lastStart = sess.StartSec
+			s.pushed++
+			s.peak = max(s.peak, s.len())
 		}
-		if blockStart.IsZero() {
-			blockStart = time.Now()
+		if n < len(sessions) {
+			// The queue is full. Wake the consumer for what this run has
+			// queued first, or a run longer than the queue would wait
+			// on a consumer that is itself waiting for it.
+			s.cond.Broadcast()
+			w.block()
 		}
-		s.cond.Wait()
 	}
-	// Validate under the lock, after any wait: the floor (lastStart,
-	// watermark) only ever rises, so a session admitted here is ordered
-	// against everything already queued.
-	if sess.StartSec < s.lastStart {
-		return fmt.Errorf("consumelocal: ingest session %d: %w: starts at %d, before already-pushed start %d",
-			s.pushed, ErrOutOfOrder, sess.StartSec, s.lastStart)
-	}
-	if sess.StartSec < s.watermark {
-		return fmt.Errorf("consumelocal: ingest session %d: %w: starts at %d, behind watermark %d",
-			s.pushed, ErrOutOfOrder, sess.StartSec, s.watermark)
-	}
-	if err := s.meta.ValidateSession(s.pushed, sess); err != nil {
-		return err
-	}
-	s.queue = append(s.queue, SourceEvent{Session: sess})
-	s.lastStart = sess.StartSec
-	s.pushed++
-	if n := s.len(); n > s.peak {
-		s.peak = n
-	}
-	s.cond.Broadcast()
-	return nil
+	return n, nil
 }
 
 // Advance raises the arrival watermark: a promise that no future session
@@ -227,15 +244,10 @@ func (s *IngestSource) Advance(watermarkSec int64) error {
 
 // AdvanceContext is Advance bounded by a context.
 func (s *IngestSource) AdvanceContext(ctx context.Context, watermarkSec int64) error {
-	defer s.wakeOnDone(ctx)()
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	var blockStart time.Time
-	defer func() {
-		if !blockStart.IsZero() {
-			s.blockedNanos += int64(time.Since(blockStart))
-		}
-	}()
+	w := wait{s: s, ctx: ctx}
+	defer func() { s.blockedNanos += int64(w.end()) }()
 	for {
 		if err := s.closedLocked(); err != nil {
 			return err
@@ -261,10 +273,7 @@ func (s *IngestSource) AdvanceContext(ctx context.Context, watermarkSec int64) e
 			}
 			break
 		}
-		if blockStart.IsZero() {
-			blockStart = time.Now()
-		}
-		s.cond.Wait()
+		w.block()
 	}
 	s.watermark = watermarkSec
 	s.cond.Broadcast()
@@ -328,9 +337,10 @@ func (s *IngestSource) Next() (Session, error) {
 // and drained (io.EOF), the stream is aborted (the abort error), or ctx
 // is done (ctx.Err()).
 func (s *IngestSource) NextEvent(ctx context.Context) (SourceEvent, error) {
-	defer s.wakeOnDone(ctx)()
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	w := wait{s: s, ctx: ctx}
+	defer w.end()
 	for {
 		if s.abortErr != nil {
 			return SourceEvent{}, s.abortErr
@@ -354,7 +364,7 @@ func (s *IngestSource) NextEvent(ctx context.Context) (SourceEvent, error) {
 		if err := ctx.Err(); err != nil {
 			return SourceEvent{}, err
 		}
-		s.cond.Wait()
+		w.block()
 	}
 }
 
@@ -373,19 +383,47 @@ func (s *IngestSource) closedLocked() error {
 	return nil
 }
 
-// wakeOnDone arranges for ctx's cancellation to wake every goroutine
-// waiting on the queue's condition variable, and returns the stop
-// function releasing that arrangement. The broadcast runs under the
-// lock, so a waiter cannot check ctx and then miss the wake-up between
-// its check and its Wait.
-func (s *IngestSource) wakeOnDone(ctx context.Context) func() {
-	if ctx.Done() == nil {
-		return func() {}
+// wait is one call's stay on the queue's condition variable, bounded by
+// the call's context. Registering ctx's cancellation (context.AfterFunc)
+// allocates, so it is armed only once the call must actually wait: a
+// push that finds room, or a pop that finds an event, never pays it.
+type wait struct {
+	s     *IngestSource
+	ctx   context.Context
+	stop  func() bool // disarms the cancellation hook; nil until armed
+	start time.Time   // when the call first waited; zero if it never did
+}
+
+// block waits for a broadcast. Callers hold s.mu and have checked
+// ctx.Err() under it since they last waited. The hook is armed under
+// s.mu, and it broadcasts under s.mu, so the waiter cannot check ctx and
+// then miss the wake-up between its check and its Wait. A ctx that can
+// never be done arms nothing.
+func (w *wait) block() {
+	if w.start.IsZero() {
+		w.start = time.Now()
+		if w.ctx.Done() != nil {
+			w.stop = context.AfterFunc(w.ctx, w.s.wake)
+		}
 	}
-	stop := context.AfterFunc(ctx, func() {
-		s.mu.Lock()
-		s.cond.Broadcast()
-		s.mu.Unlock()
-	})
-	return func() { stop() }
+	w.s.cond.Wait()
+}
+
+// end disarms the hook, if armed, and returns how long the call waited.
+// A hook already running only broadcasts, which is harmless.
+func (w *wait) end() time.Duration {
+	if w.start.IsZero() {
+		return 0
+	}
+	if w.stop != nil {
+		w.stop()
+	}
+	return time.Since(w.start)
+}
+
+// wake broadcasts to every waiter: a cancelled call's hook.
+func (s *IngestSource) wake() {
+	s.mu.Lock()
+	s.cond.Broadcast()
+	s.mu.Unlock()
 }

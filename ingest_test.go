@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"reflect"
+	"runtime"
 	"testing"
 	"time"
 
@@ -279,5 +280,269 @@ func TestIngestCloseAndAbort(t *testing.T) {
 	}
 	if _, err := ing2.NextEvent(context.Background()); !errors.Is(err, boom) {
 		t.Fatalf("aborted NextEvent = %v, want the abort cause", err)
+	}
+}
+
+// TestPushBatchRefusalPrefix: a batch refused part-way reports how many
+// sessions landed before the refusal and PushContext's error for the
+// refused one, and the stream stays usable after an ordering or
+// validation refusal.
+func TestPushBatchRefusalPrefix(t *testing.T) {
+	meta := consumelocal.TraceMeta{Name: "ingest", HorizonSec: 7200, NumUsers: 10, NumContent: 2, NumISPs: 1}
+	sess := func(start int64) consumelocal.Session {
+		return consumelocal.Session{UserID: 1, StartSec: start, DurationSec: 60, Bitrate: consumelocal.BitrateSD}
+	}
+	bad := sess(40)
+	bad.UserID = 99
+	for _, tc := range []struct {
+		name    string
+		prep    func(*consumelocal.IngestSource) error
+		batch   []consumelocal.Session
+		want    int
+		wantErr string
+		usable  bool
+	}{
+		{
+			name:    "before an already-pushed start",
+			batch:   []consumelocal.Session{sess(10), sess(20), sess(15), sess(30)},
+			want:    2,
+			wantErr: "consumelocal: ingest session 2: out of order: starts at 15, before already-pushed start 20",
+			usable:  true,
+		},
+		{
+			name:    "behind the watermark",
+			prep:    func(ing *consumelocal.IngestSource) error { return errors.Join(ing.Push(sess(10)), ing.Advance(100)) },
+			batch:   []consumelocal.Session{sess(50)},
+			want:    0,
+			wantErr: "consumelocal: ingest session 1: out of order: starts at 50, behind watermark 100",
+			usable:  true,
+		},
+		{
+			name:    "out of range",
+			batch:   []consumelocal.Session{sess(10), sess(20), bad},
+			want:    2,
+			wantErr: "trace: session 2: user 99 out of range",
+			usable:  true,
+		},
+		{
+			name:    "closed",
+			prep:    func(ing *consumelocal.IngestSource) error { return ing.Close() },
+			batch:   []consumelocal.Session{sess(10)},
+			want:    0,
+			wantErr: consumelocal.ErrIngestClosed.Error(),
+		},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ing, err := consumelocal.NewIngestSource(meta, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if tc.prep != nil {
+				if err := tc.prep(ing); err != nil {
+					t.Fatal(err)
+				}
+			}
+			before := ing.Pushed()
+			n, err := ing.PushBatch(context.Background(), tc.batch)
+			if n != tc.want || err == nil || err.Error() != tc.wantErr {
+				t.Fatalf("PushBatch = %d, %v; want %d, %q", n, err, tc.want, tc.wantErr)
+			}
+			if got := ing.Pushed() - before; got != int64(n) {
+				t.Fatalf("Pushed grew by %d, want %d", got, n)
+			}
+			if tc.usable {
+				if n, err := ing.PushBatch(context.Background(), []consumelocal.Session{sess(5000)}); n != 1 || err != nil {
+					t.Fatalf("push after the refusal = %d, %v; want 1, nil", n, err)
+				}
+			}
+		})
+	}
+}
+
+// TestPushBatchRefusedWhileBlocked: a batch blocked on a full queue
+// returns the prefix that fit once the stream is aborted or its own
+// context is cancelled.
+func TestPushBatchRefusedWhileBlocked(t *testing.T) {
+	meta := consumelocal.TraceMeta{Name: "ingest", HorizonSec: 7200, NumUsers: 10, NumContent: 2, NumISPs: 1}
+	batch := make([]consumelocal.Session, 5)
+	for i := range batch {
+		batch[i] = consumelocal.Session{UserID: 1, StartSec: int64(i), DurationSec: 60, Bitrate: consumelocal.BitrateSD}
+	}
+	boom := errors.New("boom")
+	for _, tc := range []struct {
+		name   string
+		refuse func(*consumelocal.IngestSource, context.CancelFunc)
+		is     []error
+	}{
+		{"abort", func(ing *consumelocal.IngestSource, _ context.CancelFunc) { ing.Abort(boom) }, []error{consumelocal.ErrIngestClosed, boom}},
+		{"cancel", func(_ *consumelocal.IngestSource, cancel context.CancelFunc) { cancel() }, []error{context.Canceled}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ing, err := consumelocal.NewIngestSource(meta, 2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			type result struct {
+				n   int
+				err error
+			}
+			done := make(chan result, 1)
+			go func() {
+				n, err := ing.PushBatch(ctx, batch)
+				done <- result{n, err}
+			}()
+			// The batch fills the queue and waits under the queue lock's
+			// condition, so a full queue means the producer is waiting.
+			for ing.Pending() < 2 {
+				runtime.Gosched()
+			}
+			tc.refuse(ing, cancel)
+			select {
+			case r := <-done:
+				if r.n != 2 {
+					t.Errorf("PushBatch landed %d sessions, want 2", r.n)
+				}
+				for _, want := range tc.is {
+					if !errors.Is(r.err, want) {
+						t.Errorf("PushBatch error = %v, want %v", r.err, want)
+					}
+				}
+			case <-time.After(5 * time.Second):
+				t.Fatal("a blocked PushBatch did not return")
+			}
+		})
+	}
+}
+
+// TestPushBatchWakesConsumerBeforeBlocking: a batch longer than the
+// queue hands the consumer what it has queued before it waits for
+// room, or both sides would wait on each other.
+func TestPushBatchWakesConsumerBeforeBlocking(t *testing.T) {
+	meta := consumelocal.TraceMeta{Name: "ingest", HorizonSec: 7200, NumUsers: 10, NumContent: 2, NumISPs: 1}
+	batch := make([]consumelocal.Session, 10)
+	for i := range batch {
+		batch[i] = consumelocal.Session{UserID: 1, StartSec: int64(i), DurationSec: 60, Bitrate: consumelocal.BitrateSD}
+	}
+	ing, err := consumelocal.NewIngestSource(meta, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := make(chan []consumelocal.Session, 1)
+	waiting := make(chan struct{})
+	go func() {
+		var out []consumelocal.Session
+		close(waiting)
+		for len(out) < len(batch) {
+			ev, err := ing.NextEvent(context.Background())
+			if err != nil {
+				t.Errorf("NextEvent: %v", err)
+				break
+			}
+			out = append(out, ev.Session)
+		}
+		got <- out
+	}()
+	<-waiting
+	// Without the wake, a consumer already waiting on the empty queue
+	// would never see the first four sessions; the deadline turns that
+	// hang into a refusal.
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	if n, err := ing.PushBatch(ctx, batch); n != len(batch) || err != nil {
+		t.Fatalf("PushBatch = %d, %v; want %d, nil", n, err, len(batch))
+	}
+	if out := <-got; !reflect.DeepEqual(out, batch) {
+		t.Fatalf("consumer read %v, want %v", out, batch)
+	}
+}
+
+// TestIngestWaitWakesOnContext: a producer blocked in PushBatch or
+// AdvanceContext on a full queue, and a consumer blocked in NextEvent on
+// an empty one, each return their own context's error once it is
+// cancelled — the wake-up is armed only when the call waits.
+func TestIngestWaitWakesOnContext(t *testing.T) {
+	meta := consumelocal.TraceMeta{Name: "ingest", HorizonSec: 7200, NumUsers: 10, NumContent: 2, NumISPs: 1}
+	full := func(t *testing.T) *consumelocal.IngestSource {
+		ing, err := consumelocal.NewIngestSource(meta, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := ing.Push(consumelocal.Session{UserID: 1, DurationSec: 60, Bitrate: consumelocal.BitrateSD}); err != nil {
+			t.Fatal(err)
+		}
+		return ing
+	}
+	for _, tc := range []struct {
+		name string
+		call func(*testing.T, context.Context) error
+	}{
+		{"PushBatch", func(t *testing.T, ctx context.Context) error {
+			_, err := full(t).PushBatch(ctx, []consumelocal.Session{{UserID: 2, StartSec: 1, DurationSec: 60, Bitrate: consumelocal.BitrateSD}})
+			return err
+		}},
+		{"AdvanceContext", func(t *testing.T, ctx context.Context) error {
+			return full(t).AdvanceContext(ctx, 60)
+		}},
+		{"NextEvent", func(t *testing.T, ctx context.Context) error {
+			ing, err := consumelocal.NewIngestSource(meta, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, err = ing.NextEvent(ctx)
+			return err
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			done := make(chan error, 1)
+			go func() { done <- tc.call(t, ctx) }()
+			cancel()
+			select {
+			case err := <-done:
+				if !errors.Is(err, context.Canceled) {
+					t.Fatalf("%s = %v, want context.Canceled", tc.name, err)
+				}
+			case <-time.After(5 * time.Second):
+				t.Fatalf("%s did not wake on its cancelled context", tc.name)
+			}
+		})
+	}
+}
+
+// TestIngestHandOffAllocs pins the warm hand-off at zero allocations: a
+// request's batch pushed in one PushBatch and drained by NextEvent, both
+// under a cancellable context like the daemon's request and replay
+// contexts. Neither call waits, so neither arms a cancellation hook.
+func TestIngestHandOffAllocs(t *testing.T) {
+	meta := consumelocal.TraceMeta{Name: "ingest", HorizonSec: 7200, NumUsers: 10, NumContent: 2, NumISPs: 1}
+	batch := make([]consumelocal.Session, 50)
+	for i := range batch {
+		batch[i] = consumelocal.Session{UserID: 1, StartSec: 60, DurationSec: 60, Bitrate: consumelocal.BitrateSD}
+	}
+	ing, err := consumelocal.NewIngestSource(meta, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	handOff := func() {
+		if n, err := ing.PushBatch(ctx, batch); n != len(batch) || err != nil {
+			t.Fatalf("PushBatch = %d, %v", n, err)
+		}
+		for range batch {
+			if _, err := ing.NextEvent(ctx); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	// Warm up until the queue's backing array has grown and compacted.
+	for range 64 {
+		handOff()
+	}
+	if allocs := testing.AllocsPerRun(100, handOff); allocs != 0 {
+		t.Fatalf("a warm hand-off of %d sessions allocated %.1f times, want 0", len(batch), allocs)
 	}
 }

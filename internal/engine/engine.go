@@ -25,9 +25,11 @@
 // windowed Snapshot, hands it to every attached Sink and then to a
 // bounded channel. When a sink or the channel consumer lags, the
 // pipeline blocks all the way back to the input reader
-// (backpressure), keeping memory bounded by the active-session
-// population rather than the trace length. Run is the one handle on a
-// replay in progress: the library's consumelocal.Job is this type.
+// (backpressure), which bounds the data in flight. Per-swarm state is
+// not bounded that way: a worker keeps every swarm it has seen, idle
+// ones at their peak buffer sizes, so it grows with the swarms seen
+// rather than the active sessions. Run is the one handle on a replay
+// in progress: the library's consumelocal.Job is this type.
 package engine
 
 import (

@@ -27,6 +27,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"hash/crc32"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -177,6 +178,11 @@ type Faults struct {
 	// the framed bytes actually written — the torn/corrupt-frame case,
 	// observed as a CRC reject or torn tail on the next replay.
 	MangleFrame func(frame []byte) []byte
+	// ReopenErr, when non-nil and returning an error, fails the open of
+	// the log a compaction has just renamed into place — the EMFILE
+	// case. Unlike the other hooks it is consulted per reopen, not per
+	// append.
+	ReopenErr func() error
 }
 
 // Journal is the append-only log. Append is safe for concurrent use;
@@ -188,13 +194,20 @@ type Journal struct {
 	// OnAppend, when set, observes each committed record's type.
 	OnAppend func(recordType string)
 	// OnFault, when set, observes each injected fault by kind
-	// ("write", "fsync", "mangle").
+	// ("write", "fsync", "mangle", "reopen").
 	OnFault func(kind string)
 
-	mu     sync.Mutex
-	dir    string
-	path   string
-	f      *os.File
+	mu   sync.Mutex
+	dir  string
+	path string
+	// f is the open log at path: nil once closed, and nil while reopen
+	// is set.
+	f *os.File
+	// reopen is set when a compaction renamed its new log into place but
+	// could not open it. The rename unlinked the file f held, so f was
+	// closed: an append into it would be acked and then lost at
+	// restart. The next append or compaction opens path first.
+	reopen bool
 	buf    []byte
 	size   int64
 	faults *Faults
@@ -395,8 +408,8 @@ func (j *Journal) AppendBatch(recs []Record) error {
 }
 
 func (j *Journal) appendLocked(recs ...Record) error {
-	if j.f == nil {
-		return fmt.Errorf("joblog: append: journal closed")
+	if err := j.liveLocked("append"); err != nil {
+		return err
 	}
 	buf := j.buf[:0]
 	var err error
@@ -472,8 +485,8 @@ func (j *Journal) Rewrite(recs []Record) error {
 func (j *Journal) Compact(build func(*Recovery) []Record) (int64, error) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if j.f == nil {
-		return 0, fmt.Errorf("joblog: compact: journal closed")
+	if err := j.liveLocked("compact"); err != nil {
+		return 0, err
 	}
 	data, err := os.ReadFile(j.path)
 	if err != nil {
@@ -556,19 +569,45 @@ func (j *Journal) rewriteLocked(recs []Record) error {
 		return fmt.Errorf("joblog: rewrite rename: %w", err)
 	}
 	syncDir(j.dir)
+	if j.f != nil {
+		j.f.Close()
+		j.f = nil
+	}
+	j.reopen = true
+	return j.reopenLocked()
+}
 
+// liveLocked readies j.f for op: it opens the log a failed reopen left
+// unopened, and fails once the journal is closed.
+func (j *Journal) liveLocked(op string) error {
+	if j.reopen {
+		return j.reopenLocked()
+	}
+	if j.f == nil {
+		return fmt.Errorf("joblog: %s: journal closed", op)
+	}
+	return nil
+}
+
+// reopenLocked opens the log at j.path for appending, after a rewrite
+// renamed it into place.
+func (j *Journal) reopenLocked() error {
+	if f := j.faults; f != nil && f.ReopenErr != nil {
+		if err := f.ReopenErr(); err != nil {
+			j.fault("reopen")
+			return fmt.Errorf("joblog: reopen journal: %w", err)
+		}
+	}
 	f, err := os.OpenFile(j.path, os.O_RDWR, 0o644)
 	if err != nil {
 		return fmt.Errorf("joblog: reopen journal: %w", err)
 	}
-	end, err := f.Seek(0, 2)
+	end, err := f.Seek(0, io.SeekEnd)
 	if err != nil {
 		f.Close()
 		return fmt.Errorf("joblog: seek journal end: %w", err)
 	}
-	j.f.Close()
-	j.f = f
-	j.size = end
+	j.f, j.size, j.reopen = f, end, false
 	return nil
 }
 
@@ -576,6 +615,7 @@ func (j *Journal) rewriteLocked(recs []Record) error {
 func (j *Journal) Close() error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
+	j.reopen = false
 	if j.f == nil {
 		return nil
 	}

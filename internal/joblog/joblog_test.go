@@ -1,8 +1,10 @@
 package joblog
 
 import (
+	"errors"
 	"os"
 	"path/filepath"
+	"syscall"
 	"testing"
 	"time"
 
@@ -372,6 +374,62 @@ func TestJournalFaults(t *testing.T) {
 	// mangled record must be gone.
 	if rec.Sessions != 3 {
 		t.Fatalf("recovered %d sessions, want 3 (clean append + written-but-unsynced)", rec.Sessions)
+	}
+}
+
+// TestJournalFailedReopenAcksNothingLost fails the reopen that follows a
+// compaction's rename. The rename has unlinked the file the journal was
+// appending to, so an append acked into that file would vanish at
+// restart. While the reopen keeps failing no append may be acked; once
+// it succeeds, appends land in the live log. Every acked record must
+// replay.
+func TestJournalFailedReopenAcksNothingLost(t *testing.T) {
+	dir := t.TempDir()
+	j, _ := openT(t, dir)
+	defer j.Close()
+	var kinds []string
+	j.OnFault = func(kind string) { kinds = append(kinds, kind) }
+	var acked int64
+	appendBatch := func(sessions int64) error {
+		err := j.Append(Record{Type: TypeBatch, Job: 1, Sessions: sessions})
+		if err == nil {
+			acked += sessions
+		}
+		return err
+	}
+	recovered := func() *Recovery {
+		t.Helper()
+		j2, rec := openT(t, dir)
+		j2.Close()
+		return rec
+	}
+
+	if err := j.Append(Record{Type: TypeCreated, Job: 1, Kind: "ingest"}); err != nil {
+		t.Fatal(err)
+	}
+	if err := appendBatch(5); err != nil {
+		t.Fatal(err)
+	}
+	j.InjectFaults(&Faults{ReopenErr: func() error { return syscall.EMFILE }})
+	if _, err := j.Compact(CompactionPlan); !errors.Is(err, syscall.EMFILE) {
+		t.Fatalf("Compact with a failing reopen = %v, want EMFILE", err)
+	}
+	if err := appendBatch(7); err == nil {
+		t.Error("append after a failed reopen was acked")
+	}
+	if rec := recovered(); rec.Sessions != acked {
+		t.Fatalf("recovered %d sessions, want the %d acked", rec.Sessions, acked)
+	}
+
+	j.InjectFaults(nil)
+	if err := appendBatch(11); err != nil {
+		t.Fatalf("append once the reopen succeeds: %v", err)
+	}
+	if rec := recovered(); rec.Sessions != acked || acked != 16 {
+		t.Fatalf("recovered %d sessions, acked %d, want 16 each", rec.Sessions, acked)
+	}
+	if len(kinds) == 0 || kinds[0] != "reopen" {
+		t.Fatalf("fault kinds = %v, want reopen", kinds)
 	}
 }
 

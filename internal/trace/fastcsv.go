@@ -34,6 +34,11 @@ func newLineScanner(r io.Reader) *lineScanner {
 	return &lineScanner{r: r, buf: make([]byte, lineBufSize)}
 }
 
+// reset points the scanner at r, dropping whatever it had buffered.
+func (ls *lineScanner) reset(r io.Reader) {
+	ls.r, ls.pos, ls.end, ls.rerr = r, 0, 0, nil
+}
+
 // next returns the next line without its trailing newline (a trailing
 // carriage return is stripped, matching encoding/csv's line handling).
 // At end of input it returns io.EOF; a final line without a newline is

@@ -7,6 +7,7 @@ import (
 	"io"
 	"strconv"
 	"strings"
+	"sync"
 	"time"
 )
 
@@ -133,9 +134,12 @@ func parseMeta(line string, t *Meta) error {
 // chunks. Sessions are parsed syntactically but not validated against
 // any metadata: a live consumer (the ingest queue) owns that check,
 // since only it knows the stream the batch lands in. Parsing runs
-// through the same fast CSV lane as the Scanner.
+// through the same fast CSV lane as the Scanner, on a pooled reader.
 func ReadSessionsCSV(r io.Reader) ([]Session, error) {
-	rr := newRecordReader(r)
+	rr := batchReaders.Get().(*recordReader)
+	rr.ls.reset(r)
+	// The sessions are values, so nothing returned aliases the buffer.
+	defer recycleBatchReader(rr)
 	var out []Session
 	first := true
 	for {
@@ -157,6 +161,22 @@ func ReadSessionsCSV(r io.Reader) ([]Session, error) {
 			return nil, err
 		}
 		out = append(out, s)
+	}
+}
+
+// batchReaders recycles ReadSessionsCSV's record readers. A live batch
+// is a few kilobytes, pushed many times a second: a fresh lineBufSize
+// buffer per batch would dwarf the sessions parsed from it. The
+// Scanner, which reads one stream for its whole life, keeps its own.
+var batchReaders = sync.Pool{New: func() any { return newRecordReader(nil) }}
+
+// recycleBatchReader returns rr to the pool unless a long line or
+// quoted record grew one of its buffers past lineBufSize, which would
+// pin that much memory per pooled reader.
+func recycleBatchReader(rr *recordReader) {
+	rr.ls.reset(nil)
+	if len(rr.ls.buf) == lineBufSize && cap(rr.rec) <= lineBufSize {
+		batchReaders.Put(rr)
 	}
 }
 

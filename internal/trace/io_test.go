@@ -2,6 +2,7 @@ package trace
 
 import (
 	"bytes"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -187,5 +188,56 @@ func TestReadCSVIgnoresUnknownMetaKeys(t *testing.T) {
 	}
 	if len(tr.Sessions) != 1 {
 		t.Errorf("sessions = %d, want 1", len(tr.Sessions))
+	}
+}
+
+// TestReadSessionsCSVBytesPerBatch bounds what parsing one live batch
+// allocates: the sessions and little else, not a fresh line buffer of
+// lineBufSize per call.
+func TestReadSessionsCSVBytesPerBatch(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector drops pooled readers on purpose, so reuse cannot be pinned")
+	}
+	var body []byte
+	for i := range 50 {
+		body = AppendSessionCSV(body, Session{UserID: uint32(i), Exchange: 3, StartSec: 64800, DurationSec: 2700, Bitrate: BitrateSD})
+	}
+	parse := func() {
+		got, err := ReadSessionsCSV(bytes.NewReader(body))
+		if err != nil || len(got) != 50 {
+			t.Fatalf("ReadSessionsCSV = %d sessions, %v", len(got), err)
+		}
+	}
+	parse()
+	const calls = 200
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range calls {
+		parse()
+	}
+	runtime.ReadMemStats(&after)
+	perCall := (after.TotalAlloc - before.TotalAlloc) / calls
+	if perCall > 16<<10 {
+		t.Fatalf("ReadSessionsCSV allocated %d bytes per 50-row batch, want at most %d", perCall, 16<<10)
+	}
+}
+
+// TestReadSessionsCSVRecycledReader: a batch parses the same whether its
+// pooled reader last served a batch that failed part-way or one whose
+// long line grew the buffer.
+func TestReadSessionsCSVRecycledReader(t *testing.T) {
+	const row = "1,0,0,10,100,600,1500\n"
+	want := Session{UserID: 1, Exchange: 10, StartSec: 100, DurationSec: 600, Bitrate: BitrateSD}
+	long := strings.Repeat("9", 2*lineBufSize) + ",0,0,10,100,600,1500\n"
+	for _, prior := range []string{row + "x,0\n" + row, long} {
+		if _, err := ReadSessionsCSV(strings.NewReader(prior)); err == nil {
+			t.Fatalf("prior batch %.20q parsed without error", prior)
+		}
+		for range 3 {
+			got, err := ReadSessionsCSV(strings.NewReader(row))
+			if err != nil || len(got) != 1 || got[0] != want {
+				t.Fatalf("batch after %.20q = %+v, %v", prior, got, err)
+			}
+		}
 	}
 }
