@@ -38,13 +38,15 @@ go test -race . ./internal/engine/... ./cmd/consumelocald/... ./internal/obs/...
 # The engine's feed hands window marks to a collector goroutine while
 # the workers settle them and the sinks run: repeat the tests that pin
 # that hand-off's ordering (backpressure, cancellation, error order,
-# live watermarks, overlap, a lagging sink) under the race detector.
-go test -race -count=5 -run 'TestStream(Backpressure|Context|Propagates|SinkOverlapsFeed|SlowSink)|TestLiveSource' ./internal/engine/
+# live watermarks, overlap, a lagging sink) under the race detector,
+# with the swarm buffer pool's and the shard merge's, since the
+# workers' user ledger maps now travel to the collector as the result.
+go test -race -count=5 -run 'TestStream(Backpressure|Context|Propagates|SinkOverlapsFeed|SlowSink)|TestLiveSource|TestSwarmPoolBound|TestMergeKeepsShardLedgers' ./internal/engine/
 # The ingest queue's producers and its consumer share one condition
-# variable, and a call arms its cancellation wake-up only once it has
-# to wait: repeat the ingest hand-off tests (batch refusals, waits
-# woken by their own context, the daemon's ingest endpoint) under the
-# race detector.
+# variable; a producer arms its cancellation wake-up only once it has
+# to wait, and the consumer once per context: repeat the ingest
+# hand-off tests (batch refusals, waits woken by their own context or
+# by a push, the daemon's ingest endpoint) under the race detector.
 go test -race -count=10 -run 'TestIngest|TestPushBatch' . ./cmd/consumelocald/
 # Metrics lint: every /metrics scrape must parse under the exposition
 # linter (HELP/TYPE metadata, histogram suffixes, no duplicate series)

@@ -82,6 +82,15 @@ type IngestSource struct {
 	// the clock is touched only when a producer actually blocks.
 	blockedNanos int64
 	peak         int
+	// wakeDone and stopWake are the consumer's cancellation wake: one
+	// context.AfterFunc registration, armed when NextEvent first waits
+	// under a context and kept across its calls under that context, so a
+	// replay's feed registers once, not at every empty queue. It is keyed
+	// by the context's Done channel, since a context's dynamic type need
+	// not be comparable, and released when NextEvent returns an error or
+	// is called under another context.
+	wakeDone <-chan struct{}
+	stopWake func() bool
 }
 
 // NewIngestSource returns an ingest queue for a stream with the given
@@ -335,12 +344,27 @@ func (s *IngestSource) Next() (Session, error) {
 // NextEvent implements LiveSource: it returns the next queued session
 // or watermark mark, blocking until one arrives, the stream is sealed
 // and drained (io.EOF), the stream is aborted (the abort error), or ctx
-// is done (ctx.Err()).
+// is done (ctx.Err()). It serves one consumer at a time, the replay
+// reading the stream: the cancellation wake it arms for a context is
+// released by the first call under another.
 func (s *IngestSource) NextEvent(ctx context.Context) (SourceEvent, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	w := wait{s: s, ctx: ctx}
-	defer w.end()
+	if ctx.Done() != s.wakeDone {
+		s.disarmLocked()
+	}
+	ev, err := s.nextLocked(ctx)
+	if err != nil {
+		s.disarmLocked()
+	}
+	return ev, err
+}
+
+// nextLocked is NextEvent under s.mu. Before its first wait under ctx it
+// arms the consumer's wake. The hook is armed under s.mu and broadcasts
+// under s.mu, so the consumer cannot check ctx and then miss the wake-up
+// between its check and its Wait.
+func (s *IngestSource) nextLocked(ctx context.Context) (SourceEvent, error) {
 	for {
 		if s.abortErr != nil {
 			return SourceEvent{}, s.abortErr
@@ -364,7 +388,20 @@ func (s *IngestSource) NextEvent(ctx context.Context) (SourceEvent, error) {
 		if err := ctx.Err(); err != nil {
 			return SourceEvent{}, err
 		}
-		w.block()
+		if s.stopWake == nil && ctx.Done() != nil {
+			s.stopWake = context.AfterFunc(ctx, s.wake)
+			s.wakeDone = ctx.Done()
+		}
+		s.cond.Wait()
+	}
+}
+
+// disarmLocked releases the consumer's wake, if armed. A hook already
+// running only broadcasts, which is harmless. Callers hold s.mu.
+func (s *IngestSource) disarmLocked() {
+	if s.stopWake != nil {
+		s.stopWake()
+		s.stopWake, s.wakeDone = nil, nil
 	}
 }
 
@@ -383,10 +420,10 @@ func (s *IngestSource) closedLocked() error {
 	return nil
 }
 
-// wait is one call's stay on the queue's condition variable, bounded by
-// the call's context. Registering ctx's cancellation (context.AfterFunc)
-// allocates, so it is armed only once the call must actually wait: a
-// push that finds room, or a pop that finds an event, never pays it.
+// wait is one producer call's stay on the queue's condition variable,
+// bounded by the call's context. Registering ctx's cancellation
+// (context.AfterFunc) allocates, so it is armed only once the call must
+// actually wait: a push that finds room never pays it.
 type wait struct {
 	s     *IngestSource
 	ctx   context.Context

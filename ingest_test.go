@@ -546,3 +546,50 @@ func TestIngestHandOffAllocs(t *testing.T) {
 		t.Fatalf("a warm hand-off of %d sessions allocated %.1f times, want 0", len(batch), allocs)
 	}
 }
+
+// TestIngestWaitAllocs pins the consumer's wait at zero allocations once
+// it has waited under its context: NextEvent finds the queue empty,
+// waits, and is woken by a push, as the replay's feed does at every lull
+// of a live producer. Its cancellation wake is armed at the first wait
+// and kept, not registered again at each.
+func TestIngestWaitAllocs(t *testing.T) {
+	meta := consumelocal.TraceMeta{Name: "ingest", HorizonSec: 7200, NumUsers: 10, NumContent: 2, NumISPs: 1}
+	// A small queue compacts often, so its backing array stops growing
+	// within the warm-up.
+	ing, err := consumelocal.NewIngestSource(meta, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	next := make(chan struct{})
+	got := make(chan error)
+	go func() {
+		for range next {
+			_, err := ing.NextEvent(ctx)
+			got <- err
+		}
+	}()
+	defer close(next)
+	start := int64(0)
+	wakeByPush := func() {
+		next <- struct{}{}
+		// Give the consumer time to find the queue empty and wait. Were
+		// it slower, it would pop without waiting, which allocates
+		// nothing either.
+		time.Sleep(200 * time.Microsecond)
+		start++
+		if err := ing.Push(consumelocal.Session{UserID: 1, StartSec: start, DurationSec: 60, Bitrate: consumelocal.BitrateSD}); err != nil {
+			t.Fatal(err)
+		}
+		if err := <-got; err != nil {
+			t.Fatal(err)
+		}
+	}
+	for range 64 {
+		wakeByPush()
+	}
+	if allocs := testing.AllocsPerRun(100, wakeByPush); allocs != 0 {
+		t.Fatalf("a wait woken by a push allocated %.1f times, want 0", allocs)
+	}
+}

@@ -26,10 +26,13 @@
 // bounded channel. When a sink or the channel consumer lags, the
 // pipeline blocks all the way back to the input reader
 // (backpressure), which bounds the data in flight. Per-swarm state is
-// not bounded that way: a worker keeps every swarm it has seen, idle
-// ones at their peak buffer sizes, so it grows with the swarms seen
-// rather than the active sessions. Run is the one handle on a replay
-// in progress: the library's consumelocal.Job is this type.
+// bounded in two parts. Every swarm seen keeps a summary of about 100
+// bytes, plus its map entry, which the result reads. The buffers that
+// settling needs (tracker, member slots, kept exchange order) are held
+// only by live swarms and by a per-worker pool of the sets idle swarms
+// handed back, each of a few KiB at most, so that part follows the live
+// swarms. Run is the one handle on a replay in progress: the library's
+// consumelocal.Job is this type.
 package engine
 
 import (
@@ -672,16 +675,21 @@ func (r *Run) finish(sinks []Sink) {
 // key and totalled in key order — the exact order sim.Run accumulates
 // in, making both bit-for-bit identical to the batch run regardless of
 // worker count — and day/user aggregates merged in worker order.
+//
+// The user ledgers are merged in place rather than copied: the first
+// shard's map becomes the result's, and each later shard adds into its
+// entries or moves its own over for a user new to the map. That is the
+// sum a copy into zeroed ledgers makes, bit for bit, since 0 + x == x for
+// every ledger value: ledgers sum finite non-negative values and never
+// hold −0. The workers are done with their maps once they report.
 func mergeShards(shards []report, cfg Config, meta trace.Meta) *sim.Result {
 	res := &sim.Result{
 		Days:       make([][]sim.Tally, meta.Days()),
 		PolicyName: cfg.Sim.Policy.Name(),
+		Users:      shards[0].users,
 	}
 	for d := range res.Days {
 		res.Days[d] = make([]sim.Tally, meta.NumISPs)
-	}
-	if cfg.Sim.TrackUsers {
-		res.Users = make(map[uint32]*sim.UserStats)
 	}
 	var total int
 	for _, sh := range shards {
@@ -695,20 +703,20 @@ func mergeShards(shards []report, cfg Config, meta trace.Meta) *sim.Result {
 	for _, st := range res.Swarms {
 		res.Total.Add(st.Tally)
 	}
-	for _, sh := range shards {
+	for i, sh := range shards {
 		for d := range sh.days {
 			for isp := range sh.days[d] {
 				res.Days[d][isp].Add(sh.days[d][isp])
 			}
 		}
-		if res.Users == nil {
+		if i == 0 {
 			continue
 		}
 		for id, u := range sh.users {
 			dst := res.Users[id]
 			if dst == nil {
-				dst = &sim.UserStats{}
-				res.Users[id] = dst
+				res.Users[id] = u
+				continue
 			}
 			dst.DownloadedBits += u.DownloadedBits
 			dst.FromPeersBits += u.FromPeersBits

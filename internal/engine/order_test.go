@@ -20,7 +20,7 @@ func TestSwarmOrderUpkeep(t *testing.T) {
 	if !w.keepsOrder {
 		t.Fatal("a LocalityFirst worker keeps no order")
 	}
-	st := &swarmState{w: w, activePos: -1}
+	st := &swarmState{w: w, activePos: -1, bufs: &swarmBufs{}}
 	rng := rand.New(rand.NewSource(1))
 
 	type liveMember struct{ slot, exchange int }
@@ -50,12 +50,12 @@ func TestSwarmOrderUpkeep(t *testing.T) {
 
 		want := slices.Clone(live)
 		slices.SortStableFunc(want, func(a, b liveMember) int { return a.exchange - b.exchange })
-		if len(st.byExchange) != len(want) {
-			t.Fatalf("step %d: %d members kept, want %d", step, len(st.byExchange), len(want))
+		if len(st.bufs.byExchange) != len(want) {
+			t.Fatalf("step %d: %d members kept, want %d", step, len(st.bufs.byExchange), len(want))
 		}
 		for i, m := range want {
-			if int(st.byExchange[i]) != m.slot {
-				t.Fatalf("step %d: kept order %v, want slots %v", step, st.byExchange, want)
+			if int(st.bufs.byExchange[i]) != m.slot {
+				t.Fatalf("step %d: kept order %v, want slots %v", step, st.bufs.byExchange, want)
 			}
 		}
 
@@ -70,7 +70,7 @@ func TestSwarmOrderUpkeep(t *testing.T) {
 		for i := range wantSlots {
 			wantSlots[i] = int32(i)
 		}
-		exchangeOf := func(slot int32) int { return st.members[active[slot]].peer.Exchange }
+		exchangeOf := func(slot int32) int { return st.bufs.members[active[slot]].peer.Exchange }
 		slices.SortStableFunc(wantSlots, func(a, b int32) int { return exchangeOf(a) - exchangeOf(b) })
 		if got := w.activeOrder(st, active); !slices.Equal(got, wantSlots) {
 			t.Fatalf("step %d: activeOrder = %v, want %v", step, got, wantSlots)

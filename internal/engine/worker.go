@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"slices"
 	"time"
+	"unsafe"
 
 	"consumelocal/internal/matching"
 	"consumelocal/internal/obs"
@@ -31,13 +32,38 @@ type member struct {
 	ledger    *sim.UserStats // nil without user tracking
 }
 
-// swarmState is one swarm's incremental state on its owning worker. It
-// implements swarm.Sink (interval emission, member release) directly,
-// so the settlement hot path runs through method dispatch with no
-// per-swarm closures.
+// swarmState is one swarm's state on its owning worker. It implements
+// swarm.Sink (interval emission, member release) directly, so the
+// settlement hot path runs through method dispatch with no per-swarm
+// closures.
+//
+// A swarm keeps for the whole replay only what the result and its next
+// activation read: 88 bytes (a 96-byte allocation), plus its entry in
+// the worker's map. What settling needs, bufs, it holds only while it is
+// live.
 type swarmState struct {
-	w       *worker
-	key     swarm.Key
+	w   *worker
+	key swarm.Key
+	// activePos is the state's index in the worker's non-idle list, or
+	// -1 while the swarm is idle (no active members, no pending events).
+	activePos int32
+	// bufs is nil exactly while the swarm is idle: the mark that finds it
+	// idle hands them to the worker's pool, and its next session draws a
+	// set from there.
+	bufs *swarmBufs
+	// sessions and durSum accumulate the original (pre-quantization,
+	// non-seeding) membership for the batch-identical capacity figure.
+	sessions int
+	durSum   float64
+	tally    sim.Tally
+}
+
+// swarmBufs is what a swarm holds only while it is live. A set passes
+// from swarm to swarm through the worker's pool, emptied but keeping its
+// capacity; a fresh set and a reused one settle alike, since slot values
+// and the tracker's schedule numbering order nothing the settlement
+// reads.
+type swarmBufs struct {
 	tracker swarm.Tracker
 	// members holds live member sessions by tracker index; free recycles
 	// released slots, keeping the slice bounded by the swarm's peak
@@ -51,40 +77,49 @@ type swarmState struct {
 	// matching's first pass groups peers in, kept across intervals
 	// instead of sorted at each.
 	byExchange []int32
-	// activePos is the state's index in the worker's non-idle list, or
-	// -1 while the swarm is idle (no active members, no pending events).
-	activePos int
-	// sessions and durSum accumulate the original (pre-quantization,
-	// non-seeding) membership for the batch-identical capacity figure.
-	sessions int
-	durSum   float64
-	tally    sim.Tally
 }
+
+// footprint returns the bytes the set's buffers hold.
+func (b *swarmBufs) footprint() int {
+	return b.tracker.Footprint() + cap(b.members)*int(unsafe.Sizeof(member{})) +
+		(cap(b.free)+cap(b.byExchange))*int(unsafe.Sizeof(int32(0)))
+}
+
+// maxPooledBytes bounds the buffers of one pooled set; larger sets go to
+// the garbage collector. The pool hands sets out last in, first out,
+// whatever their size, so a large swarm's set can go to a small swarm
+// while the large swarm grows another: unbounded, the pooled bytes would
+// drift towards the pool's length times the largest swarm's set. One
+// swarm's set stays within the bound up to 17 members at once, more than
+// almost every catch-up swarm ever has.
+const maxPooledBytes = 4 << 10
 
 // Emit settles one completed activity interval (swarm.Sink).
 func (st *swarmState) Emit(iv swarm.Interval) { st.w.settle(st, iv) }
 
 // Closed releases a settled member's slot (swarm.Sink).
 func (st *swarmState) Closed(index int) {
+	b := st.bufs
 	if st.w.keepsOrder {
-		i := slices.Index(st.byExchange, int32(index))
-		st.byExchange = append(st.byExchange[:i], st.byExchange[i+1:]...)
+		i := slices.Index(b.byExchange, int32(index))
+		b.byExchange = append(b.byExchange[:i], b.byExchange[i+1:]...)
 	}
-	st.free = append(st.free, int32(index))
+	b.free = append(b.free, int32(index))
 	st.w.active--
 }
 
 // alloc places a member into a recycled or fresh slot and returns its
 // tracker index.
 func (st *swarmState) alloc(m member) int {
-	if n := len(st.free); n > 0 {
-		idx := int(st.free[n-1])
-		st.free = st.free[:n-1]
-		st.members[idx] = m
+	b := st.bufs
+	if n := len(b.free); n > 0 {
+		idx := int(b.free[n-1])
+		b.free = b.free[:n-1]
+		b.members[idx] = m
 		return idx
 	}
-	st.members = append(st.members, m)
-	return len(st.members) - 1
+	b.members = append(b.members, m)
+	return len(b.members) - 1
 }
 
 // schedule adds a member to the tracker over its session and, when the
@@ -92,17 +127,18 @@ func (st *swarmState) alloc(m member) int {
 // schedule order, so it goes after every member of its exchange: at the
 // first position whose exchange is above its own.
 func (st *swarmState) schedule(idx int) {
-	m := &st.members[idx]
-	st.tracker.Schedule(m.s.StartSec, m.s.EndSec(), idx)
+	b := st.bufs
+	m := &b.members[idx]
+	b.tracker.Schedule(m.s.StartSec, m.s.EndSec(), idx)
 	st.w.active++
 	if !st.w.keepsOrder {
 		return
 	}
-	o := st.byExchange
+	o := b.byExchange
 	lo, hi := 0, len(o)
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)
-		if st.members[o[mid]].peer.Exchange <= m.peer.Exchange {
+		if b.members[o[mid]].peer.Exchange <= m.peer.Exchange {
 			lo = mid + 1
 		} else {
 			hi = mid
@@ -111,7 +147,7 @@ func (st *swarmState) schedule(idx int) {
 	o = append(o, 0)
 	copy(o[lo+1:], o[lo:])
 	o[lo] = int32(idx)
-	st.byExchange = o
+	b.byExchange = o
 }
 
 // worker owns one shard of the swarm key space. It processes its input
@@ -121,13 +157,15 @@ type worker struct {
 	id      int
 	cfg     sim.Config
 	horizon int64
-	// states indexes swarms by key; ordered preserves first-arrival
-	// order for the final report. activeList holds only non-idle swarms
-	// — the ones a window mark actually needs to settle — so long traces
-	// with many dead swarms don't pay O(total swarms) per window.
+	// states indexes every swarm seen by key. activeList holds only
+	// non-idle swarms — the ones a window mark actually needs to settle —
+	// so long traces with many dead swarms don't pay O(total swarms) per
+	// window. pool holds the buffer sets idle swarms handed back, for the
+	// next swarms to become live: it is never longer than the most swarms
+	// live at once.
 	states     map[swarm.Key]*swarmState
-	ordered    []*swarmState
 	activeList []*swarmState
+	pool       []*swarmBufs
 
 	delta  sim.Tally
 	booker sim.Booker
@@ -192,7 +230,7 @@ func (w *worker) run(in <-chan wmsg, acks chan<- ack, reports chan<- report) {
 		} else {
 			w.mark(msg.until, msg.final)
 		}
-		acks <- ack{delta: w.delta, active: w.active, swarms: len(w.ordered), err: w.err}
+		acks <- ack{delta: w.delta, active: w.active, swarms: len(w.states), err: w.err}
 		w.delta = sim.Tally{}
 		if msg.final {
 			reports <- w.report()
@@ -209,20 +247,20 @@ func (w *worker) session(it *item) {
 	if st == nil {
 		st = &swarmState{w: w, key: it.key, activePos: -1}
 		w.states[it.key] = st
-		w.ordered = append(w.ordered, st)
 	}
 	if st.activePos < 0 {
-		st.activePos = len(w.activeList)
+		st.activePos = int32(len(w.activeList))
 		w.activeList = append(w.activeList, st)
+		w.acquire(st)
 	}
 
 	s := it.sess
 	if w.stats != nil {
 		t0 := time.Now()
-		st.tracker.Advance(s.StartSec, st)
+		st.bufs.tracker.Advance(s.StartSec, st)
 		w.settling += time.Since(t0)
 	} else {
-		st.tracker.Advance(s.StartSec, st)
+		st.bufs.tracker.Advance(s.StartSec, st)
 	}
 
 	m := member{
@@ -255,21 +293,22 @@ func (w *worker) session(it *item) {
 
 // mark settles every non-idle swarm's activity up to a window boundary
 // (or fully, on the final mark), in activation order for determinism.
-// Swarms that drain to idle leave the active list until their next
-// session arrives.
+// Swarms that drain to idle leave the active list, and hand their
+// buffers back, until their next session arrives.
 func (w *worker) mark(until int64, final bool) {
 	live := w.activeList[:0]
 	for _, st := range w.activeList {
 		if final {
-			st.tracker.Finish(st)
+			st.bufs.tracker.Finish(st)
 		} else {
-			st.tracker.Advance(until, st)
+			st.bufs.tracker.Advance(until, st)
 		}
-		if st.tracker.Idle() {
+		if st.bufs.tracker.Idle() {
 			st.activePos = -1
+			w.release(st)
 			continue
 		}
-		st.activePos = len(live)
+		st.activePos = int32(len(live))
 		live = append(live, st)
 	}
 	// Clear the dropped tail so idle states aren't pinned by the backing
@@ -278,6 +317,34 @@ func (w *worker) mark(until int64, final bool) {
 		w.activeList[i] = nil
 	}
 	w.activeList = live
+}
+
+// acquire gives a swarm becoming live a buffer set: the last one pooled,
+// or a new one.
+func (w *worker) acquire(st *swarmState) {
+	n := len(w.pool)
+	if n == 0 {
+		st.bufs = &swarmBufs{}
+		return
+	}
+	st.bufs = w.pool[n-1]
+	w.pool[n-1] = nil
+	w.pool = w.pool[:n-1]
+}
+
+// release takes an idle swarm's buffer set and pools it, emptied, unless
+// it holds more than maxPooledBytes. Every member has closed, so
+// byExchange is already empty and every slot is free.
+func (w *worker) release(st *swarmState) {
+	b := st.bufs
+	st.bufs = nil
+	if b.footprint() > maxPooledBytes {
+		return
+	}
+	b.tracker.Reset()
+	b.members = b.members[:0]
+	b.free = b.free[:0]
+	w.pool = append(w.pool, b)
 }
 
 // settle matches one completed activity interval and books the outcome —
@@ -296,8 +363,9 @@ func (w *worker) settle(st *swarmState, iv swarm.Interval) {
 	w.resize(n)
 
 	var sumCaps float64
+	members := st.bufs.members
 	for slot, idx := range iv.Active {
-		m := &st.members[idx]
+		m := &members[idx]
 		w.peers[slot] = m.peer
 		w.accounts[slot] = sim.Account{ISP: int(m.s.ISP), Ledger: m.ledger}
 		w.demands[slot] = m.demandBps * dur
@@ -335,14 +403,15 @@ func (w *worker) settle(st *swarmState, iv swarm.Interval) {
 //consumelocal:hotpath
 //consumelocal:borrowed active
 func (w *worker) activeOrder(st *swarmState, active []int) []int32 {
-	if len(w.slotOf) < len(st.members) {
-		w.slotOf = make([]int32, len(st.members), 2*len(st.members))
+	b := st.bufs
+	if len(w.slotOf) < len(b.members) {
+		w.slotOf = make([]int32, len(b.members), 2*len(b.members))
 	}
 	for slot, idx := range active {
 		w.slotOf[idx] = int32(slot)
 	}
 	k := 0
-	for _, idx := range st.byExchange {
+	for _, idx := range b.byExchange {
 		if s := w.slotOf[idx]; int(s) < len(active) && active[s] == int(idx) {
 			w.order[k] = s
 			k++
@@ -352,10 +421,10 @@ func (w *worker) activeOrder(st *swarmState, active []int) []int32 {
 }
 
 // report packages the worker's shard outcome, with per-swarm statistics
-// in first-arrival order; the coordinator re-sorts the union by key.
+// in map order: the coordinator sorts the union by key, which is unique.
 func (w *worker) report() report {
-	stats := make([]sim.SwarmStats, 0, len(w.ordered))
-	for _, st := range w.ordered {
+	stats := make([]sim.SwarmStats, 0, len(w.states))
+	for _, st := range w.states {
 		capacity := 0.0
 		if w.horizon > 0 {
 			capacity = st.durSum / float64(w.horizon)

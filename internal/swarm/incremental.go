@@ -1,6 +1,9 @@
 package swarm
 
-import "math"
+import (
+	"math"
+	"unsafe"
+)
 
 // Sink consumes a Tracker's settled output: completed activity intervals
 // and member-end notifications. It replaces the per-callback closures of
@@ -115,6 +118,25 @@ func (t *Tracker) ActiveCount() int { return len(t.active) }
 // Idle reports whether the tracker has neither active members nor
 // pending events.
 func (t *Tracker) Idle() bool { return len(t.active) == 0 && len(t.events) == 0 }
+
+// Reset empties the tracker and keeps its buffers, so a reset tracker
+// can serve another swarm without growing them again. It emits exactly
+// what a fresh tracker would: with no member active, the watermark and
+// schedule numbering it forgets decide no emission.
+func (t *Tracker) Reset() {
+	t.events = t.events[:0]
+	t.active = t.active[:0]
+	t.prevAt = 0
+	t.seq = 0
+}
+
+// Footprint returns the bytes the tracker's buffers hold, used or not:
+// what Reset keeps.
+func (t *Tracker) Footprint() int {
+	return cap(t.events)*int(unsafe.Sizeof(trackerEvent{})) +
+		cap(t.active)*int(unsafe.Sizeof(activeMember{})) +
+		cap(t.scratch)*int(unsafe.Sizeof(int(0)))
+}
 
 // activeIndices fills the scratch buffer with the active member indices
 // in schedule order. The returned slice is reused by the next emission.

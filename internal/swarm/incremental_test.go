@@ -30,7 +30,11 @@ func (c *collector) Closed(index int) { c.closes = append(c.closes, index) }
 // streaming engine does — advance to each start, then schedule the
 // session — and collects the emitted intervals and close order.
 func feedTracker(sessions []trace.Session) (intervals []Interval, closes []int) {
-	tr := NewTracker()
+	return feedInto(NewTracker(), sessions)
+}
+
+// feedInto is feedTracker on a given tracker.
+func feedInto(tr *Tracker, sessions []trace.Session) (intervals []Interval, closes []int) {
 	var c collector
 	for i, s := range sessions {
 		tr.Advance(s.StartSec, &c)
@@ -204,5 +208,52 @@ func TestTrackerIdle(t *testing.T) {
 	}
 	if tr.ActiveCount() != 0 {
 		t.Fatalf("active count = %d, want 0", tr.ActiveCount())
+	}
+}
+
+// TestTrackerResetMatchesFresh reuses one tracker across random
+// memberships, resetting it between them, every other time with members
+// of the last one still active or pending. Each membership must emit
+// exactly the intervals and close order a fresh tracker emits, although
+// it starts before the reused tracker's last watermark, and Reset must
+// keep the buffers it empties.
+func TestTrackerResetMatchesFresh(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	reused := NewTracker()
+	for trial := 0; trial < 50; trial++ {
+		n := 1 + rng.Intn(40)
+		sessions := make([]trace.Session, n)
+		for i := range sessions {
+			sessions[i] = trace.Session{
+				UserID:      uint32(i),
+				StartSec:    int64(rng.Intn(200)),
+				DurationSec: int32(1 + rng.Intn(100)),
+				Bitrate:     trace.BitrateSD,
+			}
+		}
+		sort.Slice(sessions, func(i, j int) bool { return sessions[i].StartSec < sessions[j].StartSec })
+
+		if trial%2 == 1 {
+			var c collector
+			reused.Advance(0, &c)
+			reused.Schedule(0, 300, 7)
+			reused.Schedule(50, 90, 8)
+			reused.Advance(60, &c)
+		}
+		footprint := reused.Footprint()
+		reused.Reset()
+		if !reused.Idle() {
+			t.Fatalf("trial %d: a reset tracker is not idle", trial)
+		}
+		if got := reused.Footprint(); got != footprint {
+			t.Fatalf("trial %d: Reset changed the footprint from %d to %d bytes", trial, footprint, got)
+		}
+
+		want, wantCloses := feedTracker(sessions)
+		got, gotCloses := feedInto(reused, sessions)
+		assertIntervalsEqual(t, got, want)
+		if !reflect.DeepEqual(gotCloses, wantCloses) {
+			t.Fatalf("trial %d: close order %v, want %v", trial, gotCloses, wantCloses)
+		}
 	}
 }
